@@ -4,9 +4,9 @@
 // (the reference bytes and reference throughput); CHAOS, the same queries
 // against a cluster injecting eval throws AND worker crashes at a fixed
 // seed (supervised workers absorb the throws, the watchdog restarts the
-// crashed workers and re-drives the batches they held, failover walks the
-// rendezvous order, and requests whose three attempts all fail degrade
-// explicitly); and REPLAY-CHAOS, a second fresh cluster with the SAME
+// crashed workers and re-drives the batches they held, transient failures
+// go back onto the shared queue, and requests whose three attempts all
+// fail degrade explicitly); and REPLAY-CHAOS, a second fresh cluster with the SAME
 // fault seed, which must reproduce the chaos leg's responses byte for
 // byte — the injector keys every decision on (stream id, per-stream seq,
 // attempt), so the schedule is independent of thread interleaving.

@@ -1,15 +1,14 @@
-// Sharded-cluster serving throughput (beyond the paper): answers one fixed
-// batch of §5.9 feasibility queries three ways — a 1-shard serial cluster,
-// an N-shard parallel cluster with a cold response cache, and the same
+// Cluster serving throughput (beyond the paper): answers one fixed batch
+// of §5.9 feasibility queries three ways — a 1-worker serial cluster, an
+// N-worker parallel cluster with a cold response cache, and the same
 // parallel cluster warm (every request a cache hit) — and reports
 // queries/sec for each. Both clusters share one primary ModelRegistry, so
-// the calibration corpus is fitted exactly once and every shard replica
-// adopts the bundle.
+// the calibration corpus is fitted exactly once.
 //
 // Health gates (exit nonzero on violation):
 //   - the parallel cluster's responses, cold AND warm, are byte-identical
 //     through serve::to_jsonl to the serial cluster's (the determinism
-//     contract: shard count, thread count, and cache state change nothing);
+//     contract: worker count and cache state change nothing);
 //   - exactly one registry fit per distinct corpus fingerprint (= 1 here);
 //   - the warm pass hits the cache on every request;
 //   - every query is answered ok.
@@ -54,11 +53,10 @@ model::StudyConfig calibration() {
   return cfg;
 }
 
-cluster::ClusterConfig cluster_config(int shards, int threads, std::size_t cache_entries) {
+cluster::ClusterConfig cluster_config(int shards, std::size_t cache_entries) {
   cluster::ClusterConfig cfg;
   cfg.service.calibration = calibration();
   cfg.shards = shards;
-  cfg.threads = threads;
   cfg.cache_entries = cache_entries;
   return cfg;
 }
@@ -118,11 +116,11 @@ int main() {
 
   const std::vector<serve::AdvisorRequest> requests = query_grid();
   const auto primary = std::make_shared<serve::ModelRegistry>();
-  cluster::ServingCluster serial(cluster_config(1, 1, 0), primary);
+  cluster::ServingCluster serial(cluster_config(1, 0), primary);
   // The cache must hold the whole distinct-request set so the warm pass is
   // all hits; 2x slack because keys hash unevenly across the LRU's ways and
   // one overfull way would evict (and fail the warm gate).
-  cluster::ServingCluster parallel(cluster_config(shards, threads, 2 * requests.size()),
+  cluster::ServingCluster parallel(cluster_config(shards, 2 * requests.size()),
                                    primary);
 
   // Calibrate once, outside the timed region (the fit-once contract is the

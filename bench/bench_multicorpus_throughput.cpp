@@ -3,29 +3,28 @@
 // fit (Tables 12-17) — but a production advisor serves many machines at
 // once. This bench makes two corpora resident (the default calibration and
 // a re-seeded sibling, distinct fingerprints) and answers one fixed
-// corpus-mixed batch three ways — a 1-shard serial cluster, an N-shard
+// corpus-mixed batch three ways — a 1-worker serial cluster, an N-worker
 // parallel cluster cold, and the same cluster warm — then runs a skewed
-// stream (one hot (corpus, arch) key) against two cache-less clusters,
-// rebalancing off vs on, and compares the max/mean shard-load ratio.
+// stream (one hot (corpus, arch) key) through the serial cluster and a
+// cache-less N-worker cluster. The workers share one queue, so a hot key
+// cannot pin one of them: whichever worker is free pulls the next batch.
 //
 // Health gates (exit nonzero on violation):
 //   - parallel responses, cold AND warm, byte-identical through
 //     serve::to_jsonl to the serial cluster's with BOTH corpora resident
 //     (the PR 2/3/4 determinism contract extended to corpus count);
 //   - registry fits == distinct corpus fingerprints (= 2 here) across ALL
-//     five clusters (one shared primary; replicas adopt, never refit);
+//     three clusters (one shared primary, never refit);
 //   - the warm pass hits the cache on every request (corpus is part of the
 //     canonical key, so corpora cannot evict or serve each other);
-//   - the skewed stream's max/mean shard-load ratio is STRICTLY lower with
-//     rebalancing on than off, and the skewed responses are byte-identical
-//     either way.
+//   - the skewed stream's responses on the N-worker cluster are
+//     byte-identical to the serial cluster's.
 //
 // The final line is machine-readable JSON (prefix "JSON ") so the nightly
 // workflow can archive the perf trajectory:
 //   JSON {"bench":"multicorpus_throughput","queries":...,"corpora":2,
 //         "registry_fits":2,"shards":...,"threads":...,
 //         "qps_serial":...,"qps_parallel_cold":...,"qps_parallel_warm":...,
-//         "skew_ratio_off":...,"skew_ratio_on":...,"rebalanced":...,
 //         "identical":true}
 #include <algorithm>
 #include <chrono>
@@ -61,8 +60,7 @@ model::StudyConfig calibration(std::uint64_t seed) {
   return cfg;
 }
 
-cluster::ClusterConfig cluster_config(int shards, int threads, std::size_t cache_entries,
-                                      bool rebalance) {
+cluster::ClusterConfig cluster_config(int shards, std::size_t cache_entries) {
   cluster::ClusterConfig cfg;
   cfg.service.calibration = calibration(77);
   cluster::CorpusConfig titan;  // "the other machine": same shape, new seed
@@ -70,9 +68,7 @@ cluster::ClusterConfig cluster_config(int shards, int threads, std::size_t cache
   titan.service.calibration = calibration(1701);
   cfg.corpora.push_back(std::move(titan));
   cfg.shards = shards;
-  cfg.threads = threads;
   cfg.cache_entries = cache_entries;
-  cfg.rebalance = rebalance;
   return cfg;
 }
 
@@ -114,8 +110,8 @@ std::vector<serve::AdvisorRequest> query_grid() {
 }
 
 // The skewed stream: 85% of the traffic is one (default corpus, CPU1) key,
-// the rest spreads over the remaining (corpus, arch) keys — the "one hot
-// arch pins one shard" scenario from the ROADMAP.
+// the rest spreads over the remaining (corpus, arch) keys — the traffic
+// shape that would pin one worker if work were routed by key.
 std::vector<serve::AdvisorRequest> skewed_stream() {
   std::vector<serve::AdvisorRequest> requests;
   const int total = 6000;
@@ -149,20 +145,6 @@ bool identical(const std::vector<serve::AdvisorResponse>& a,
   return true;
 }
 
-// Max/mean over the per-shard evaluated-query counts: 1.0 is a perfectly
-// level cluster; shards x (hot share) is one key pinning one shard.
-double shard_load_ratio(const cluster::ClusterMetrics& m) {
-  if (m.shard_queries.empty()) return 0.0;
-  long max_q = 0, total = 0;
-  for (const long q : m.shard_queries) {
-    max_q = std::max(max_q, q);
-    total += q;
-  }
-  if (total == 0) return 0.0;
-  const double mean = static_cast<double>(total) / static_cast<double>(m.shard_queries.size());
-  return static_cast<double>(max_q) / mean;
-}
-
 }  // namespace
 
 int main() {
@@ -170,18 +152,16 @@ int main() {
   const int shards = std::max(2, std::min(4, threads));
   bench::print_header(
       "Multi-corpus cluster serving throughput (beyond the paper)",
-      "Two resident calibration corpora (distinct fingerprints); 1-shard serial vs " +
-          std::to_string(shards) + "-shard/" + std::to_string(threads) +
-          "-thread parallel, cold and warm cache; then a skewed stream (one hot key), "
-          "rebalancing off vs on.");
+      "Two resident calibration corpora (distinct fingerprints); 1-worker serial vs " +
+          std::to_string(shards) + "-worker parallel, cold and warm cache; then a "
+          "skewed stream (one hot key) on both.");
 
   const std::vector<serve::AdvisorRequest> requests = query_grid();
   const auto primary = std::make_shared<serve::ModelRegistry>();
-  cluster::ServingCluster serial(cluster_config(1, 1, 0, true), primary);
+  cluster::ServingCluster serial(cluster_config(1, 0), primary);
   // 2x slack on the cache, as in bench_cluster_throughput: keys hash
   // unevenly across the LRU's ways, and one overfull way would evict.
-  cluster::ServingCluster parallel(
-      cluster_config(shards, threads, 2 * requests.size(), true), primary);
+  cluster::ServingCluster parallel(cluster_config(shards, 2 * requests.size()), primary);
 
   // Calibrate both corpora once, outside the timed region (fit-once is the
   // registry's point; replication copies bundles, never refits).
@@ -213,25 +193,20 @@ int main() {
   for (const serve::AdvisorResponse& r : serial_responses) answered += r.ok() ? 1 : 0;
   const bool all_ok = answered == requests.size();
 
-  // --- Skewed traffic: one hot (corpus, arch) key, rebalancing off vs on.
-  // Cache off so every request reaches a shard and the load counts mean
-  // something; same shared primary, so still no refits.
+  // --- Skewed traffic: one hot (corpus, arch) key, serial vs N workers.
+  // Cache off so every request reaches a worker; same shared primary, so
+  // still no refits.
   const std::vector<serve::AdvisorRequest> skewed = skewed_stream();
-  cluster::ServingCluster pinned(cluster_config(shards, threads, 0, false), primary);
-  cluster::ServingCluster balanced(cluster_config(shards, threads, 0, true), primary);
-  const std::vector<serve::AdvisorResponse> skew_off = pinned.serve_batch(skewed);
-  const std::vector<serve::AdvisorResponse> skew_on = balanced.serve_batch(skewed);
-  const bool skew_same = identical(skew_off, skew_on);
-  const double ratio_off = shard_load_ratio(pinned.metrics());
-  const double ratio_on = shard_load_ratio(balanced.metrics());
-  const long rebalanced = balanced.metrics().rebalanced_queries;
+  cluster::ServingCluster skew_parallel(cluster_config(shards, 0), primary);
+  const std::vector<serve::AdvisorResponse> skew_serial = serial.serve_batch(skewed);
+  const std::vector<serve::AdvisorResponse> skew_workers = skew_parallel.serve_batch(skewed);
+  const bool skew_same = identical(skew_serial, skew_workers);
 
   // Every cluster shares the primary: total fits across the fleet must be
   // exactly the two distinct fingerprints.
   const int fits = primary->fits() + (serial.registry_fits() - primary->fits()) +
                    (parallel.registry_fits() - primary->fits()) +
-                   (pinned.registry_fits() - primary->fits()) +
-                   (balanced.registry_fits() - primary->fits());
+                   (skew_parallel.registry_fits() - primary->fits());
 
   const double n = static_cast<double>(requests.size());
   std::printf("calibration: %zu + %zu observations fitted in %.3fs (registry fits: %d)\n\n",
@@ -245,9 +220,8 @@ int main() {
   std::printf("%-28s %8d %8d %12.4f %12.0f\n", "parallel cluster (warm)", shards, threads,
               t_warm, n / t_warm);
   std::printf("\ncluster metrics: %s\n", parallel_metrics.to_jsonl().c_str());
-  std::printf("\nskewed stream (%zu queries, 85%% one key): max/mean shard load %.3f "
-              "pinned -> %.3f rebalanced (%ld requests spread)\n",
-              skewed.size(), ratio_off, ratio_on, rebalanced);
+  std::printf("\nskewed stream: %zu queries, 85%% one key, 1 vs %d workers\n", skewed.size(),
+              shards);
   std::printf("%zu mixed queries (%zu ok%s); warm hit rate %.3f; "
               "responses byte-identical: %s (mixed) / %s (skewed)\n",
               requests.size(), answered, all_ok ? "" : " — DEGENERATE CALIBRATION",
@@ -258,16 +232,14 @@ int main() {
       "\"registry_fits\":%d,\"shards\":%d,\"threads\":%d,\"calibration_seconds\":%.6f,"
       "\"serial_seconds\":%.6f,\"parallel_cold_seconds\":%.6f,\"parallel_warm_seconds\":%.6f,"
       "\"qps_serial\":%.1f,\"qps_parallel_cold\":%.1f,\"qps_parallel_warm\":%.1f,"
-      "\"warm_hit_rate\":%.6f,\"skew_ratio_off\":%.4f,\"skew_ratio_on\":%.4f,"
-      "\"rebalanced\":%ld,\"identical\":%s}\n",
+      "\"warm_hit_rate\":%.6f,\"identical\":%s}\n",
       requests.size(), fits, shards, threads, t_calibrate, t_serial, t_cold, t_warm,
-      n / t_serial, n / t_cold, n / t_warm, warm_hit_rate, ratio_off, ratio_on, rebalanced,
+      n / t_serial, n / t_cold, n / t_warm, warm_hit_rate,
       mixed_same && skew_same ? "true" : "false");
 
-  // Health gates: byte-identity (mixed cold/warm AND skewed off/on), one
-  // fit per distinct fingerprint, a fully-hitting warm pass, every query
-  // ok, and rebalancing strictly levelling the skewed load.
-  const bool gates = mixed_same && skew_same && fits == 2 && warm_hit_rate == 1.0 &&
-                     all_ok && ratio_on < ratio_off;
+  // Health gates: byte-identity (mixed cold/warm AND skewed serial vs N
+  // workers), one fit per distinct fingerprint, a fully-hitting warm pass,
+  // and every query ok.
+  const bool gates = mixed_same && skew_same && fits == 2 && warm_hit_rate == 1.0 && all_ok;
   return gates ? 0 : 1;
 }

@@ -247,14 +247,17 @@ int main() {
   // Overload leg: a synthetic single-stream schedule arriving at twice the
   // service rate, every request carrying a deadline. Replay makes shedding
   // a pure function of (schedule, requests); the virtual-time model here
-  // mirrors the cluster's admission arithmetic, so the two must agree on
-  // every request — and on 1 shard the admitted waits are exactly the
-  // model's, so their p99 respecting the deadline is the shed gate working.
+  // mirrors the cluster's admission recurrence (start = max(backlog, t),
+  // done = start + service, backlog = start + service / workers), so the
+  // two must agree on every request — and on 1 worker the admitted waits
+  // are exactly the model's, so their p99 respecting the deadline is the
+  // shed gate working.
   cluster::AdmissionSchedule overload;
   overload.reserve(kOverloadRequests);
   for (int i = 0; i < kOverloadRequests; ++i)
     overload.push_back({0, static_cast<std::uint64_t>(i), static_cast<std::int64_t>(2 * i)});
-  cluster::ClusterConfig overload_config = cluster_config(1);
+  constexpr int kOverloadWorkers = 1;
+  cluster::ClusterConfig overload_config = cluster_config(kOverloadWorkers);
   cluster::ServingCluster overloaded(std::move(overload_config), primary);
   overloaded.begin_replay(overload);
   cluster::StreamSession session = overloaded.open_stream();
@@ -271,12 +274,13 @@ int main() {
   double backlog_us = 0.0;
   for (int i = 0; i < kOverloadRequests && shed_matches_model; ++i) {
     const double t = static_cast<double>(overload[static_cast<std::size_t>(i)].t_us);
-    const double done = std::max(backlog_us, t) + kServiceUs;
+    const double start = std::max(backlog_us, t);
+    const double done = start + kServiceUs;
     const bool model_sheds = done - t > static_cast<double>(kDeadlineUs);
     if (model_sheds) ++shed;
     else {
       admitted_waits_us.push_back(done - t);
-      backlog_us = done;
+      backlog_us = start + kServiceUs / kOverloadWorkers;
     }
     if (overload_responses[static_cast<std::size_t>(i)].shed() != model_sheds)
       shed_matches_model = false;

@@ -9,21 +9,18 @@
 //
 //   Service:
 //     $ ./feasibility_advisor --serve [--shards N] [--cache ENTRIES]
-//                             [--corpus NAME=SEED]... [--imbalance-ratio R]
-//                             [--streams N] [--deadline-us D]
+//                             [--corpus NAME=SEED]... [--streams N]
+//                             [--deadline-us D]
 //                             [--record FILE | --replay FILE]
 //   runs the long-lived JSON-lines service on stdin/stdout (one request
 //   object per line, blank line or EOF flushes a batch; schema in
-//   docs/ARCHITECTURE.md). Requests route through the sharded serving
-//   cluster (src/cluster/): models are fitted once per distinct corpus,
-//   replicated to every shard, and repeated requests hit the LRU response
-//   cache. Each repeatable --corpus flag makes another calibration corpus
-//   resident under NAME (the default-calibration shape re-seeded with
-//   SEED — a distinct fingerprint and its own fit); requests select it
-//   with {"corpus":"NAME"}. --imbalance-ratio tunes the hot-key
-//   rebalancer (a (corpus, arch) key hotter than R times a shard's fair
-//   share spreads across shards; 0 pins every key to its home shard).
-//   --streams N submits each batch through N concurrent StreamSessions
+//   docs/ARCHITECTURE.md). Requests flow through the serving cluster
+//   (src/cluster/): models are fitted once per distinct corpus, --shards N
+//   workers drain one ordered queue, and repeated requests hit the LRU
+//   response cache. Each repeatable --corpus flag makes another calibration
+//   corpus resident under NAME (the default-calibration shape re-seeded
+//   with SEED — a distinct fingerprint and its own fit); requests select
+//   it with {"corpus":"NAME"}. --streams N submits each batch through N concurrent StreamSessions
 //   (round-robin dealing; responses come back in input order, so output
 //   bytes match the serialized run). --deadline-us D stamps requests that
 //   carry no deadline of their own, exercising the cluster's deadline-
@@ -37,9 +34,9 @@
 //   next batch, so the epoch schedule — and therefore every output byte —
 //   is a pure function of the input; two identically-seeded runs
 //   byte-match). Flags override the ISR_SHARDS (default 1),
-//   ISR_CACHE_ENTRIES (default 1024; 0 disables), ISR_IMBALANCE_RATIO
-//   (default 1.25), ISR_STREAMS (default 1), ISR_DEADLINE_US (default 0 =
-//   none), and ISR_RECAL_EVERY (default 0 = never) environment variables;
+//   ISR_CACHE_ENTRIES (default 1024; 0 disables), ISR_STREAMS (default
+//   1), ISR_DEADLINE_US (default 0 = none), and ISR_RECAL_EVERY (default
+//   0 = never) environment variables;
 //   a cluster-metrics JSON line (including per-corpus query counts and
 //   bundle epochs) goes to stderr at EOF, keeping stdout pure responses.
 //
@@ -93,16 +90,16 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [N_per_task=200] [tasks=32] [image_edge=1024] [budget_seconds=60]\n"
                "       %s --serve [--shards N] [--cache ENTRIES]\n"
-               "                      [--corpus NAME=SEED]... [--imbalance-ratio R]\n"
-               "                      [--streams N] [--deadline-us D]\n"
+               "                      [--corpus NAME=SEED]... [--streams N]\n"
+               "                      [--deadline-us D]\n"
                "                      [--recalibrate-every N]\n"
                "                      [--record FILE | --replay FILE]\n"
                "                      [--trace FILE] [--metrics-every N]\n"
                "                      [--fault-seed S] [--fault-rate R] [--fault-sites CSV]\n"
                "                      (JSON-lines service on stdin/stdout; defaults come\n"
                "                       from ISR_SHARDS / ISR_CACHE_ENTRIES /\n"
-               "                       ISR_IMBALANCE_RATIO / ISR_STREAMS / ISR_DEADLINE_US;\n"
-               "                       0 cache = off, 0 ratio = no rebalancing; each\n"
+               "                       ISR_STREAMS / ISR_DEADLINE_US; --shards N workers\n"
+               "                       drain one queue; 0 cache = off; each\n"
                "                       --corpus adds a resident corpus requests select\n"
                "                       with {\"corpus\":\"NAME\"}; --streams N submits each\n"
                "                       batch over N concurrent stream sessions;\n"
@@ -196,18 +193,15 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--serve") == 0) {
     // Env defaults, overridable by flags. 0 cache entries disables caching;
     // a garbled env value warns and falls back (core/env contract). The env
-    // path honors the same shard cap as the flag: each shard allocates a
-    // registry + queue + 64 router ring points, so an absurd value must
-    // clamp loudly, not OOM silently.
+    // path honors the same shard cap as the flag: each shard is a worker
+    // thread, so an absurd value must clamp loudly, not exhaust threads
+    // silently.
     long shards = core::env_long("ISR_SHARDS", 1);
     if (shards > 4096) {
       std::fprintf(stderr, "%s: ISR_SHARDS=%ld too large, clamping to 4096\n", argv[0], shards);
       shards = 4096;
     }
     long cache_entries = core::env_long("ISR_CACHE_ENTRIES", 1024, /*require_positive=*/false);
-    // <= 0 pins every key to its home shard (rebalancing off).
-    double imbalance_ratio =
-        core::env_double("ISR_IMBALANCE_RATIO", 1.25, /*require_positive=*/false);
     // Concurrent stream sessions per batch (1 = the plain serve_batch
     // path) and the default deadline stamped onto undeadlined requests
     // (0 = none). Capped like shards: each stream is a submitting thread.
@@ -273,14 +267,6 @@ int main(int argc, char** argv) {
         corpus.service.calibration = serve::default_calibration();
         corpus.service.calibration.seed = static_cast<std::uint64_t>(seed);
         corpora.push_back(std::move(corpus));
-      } else if (std::strcmp(argv[a], "--imbalance-ratio") == 0 && a + 1 < argc) {
-        const core::ParseStatus status =
-            core::parse_double(argv[++a], imbalance_ratio, /*require_positive=*/false);
-        if (status != core::ParseStatus::kOk) {
-          std::fprintf(stderr, "%s: bad --imbalance-ratio \"%s\" (%s)\n", argv[0], argv[a],
-                       core::parse_status_message(status));
-          return usage(argv[0]);
-        }
       } else if (std::strcmp(argv[a], "--streams") == 0 && a + 1 < argc) {
         const core::ParseStatus status =
             core::parse_long(argv[++a], streams, /*require_positive=*/true);
@@ -365,7 +351,7 @@ int main(int argc, char** argv) {
     for (const cluster::CorpusConfig& corpus : corpora) recal_names.push_back(corpus.name);
 
     // The trace recorder outlives the cluster (workers record into it until
-    // shard stop). Fail fast on an unwritable path BEFORE serving anything,
+    // they are joined). Fail fast on an unwritable path BEFORE serving anything,
     // like --record does. Under --replay the recorder runs on the virtual
     // clock: the exported trace is then a pure function of
     // (schedule, requests) — byte-identical across runs.
@@ -384,8 +370,6 @@ int main(int argc, char** argv) {
     config.shards = static_cast<int>(shards);
     config.cache_entries = static_cast<std::size_t>(cache_entries);
     config.corpora = std::move(corpora);
-    config.rebalance = imbalance_ratio > 0.0;
-    config.imbalance_ratio = imbalance_ratio;
     config.fault = fault;
     if (!trace_file.empty()) config.trace = &tracer;
     cluster::ServingCluster serving(std::move(config));

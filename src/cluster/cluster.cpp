@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -21,25 +20,27 @@ void derive_spr_base(serve::ServiceConfig& service) {
     service.constants.spr_base = 0.93 * service.calibration.vr_samples;
 }
 
-// The replica/routing key: calibration fingerprint + the exact bit
-// patterns of the mapping constants. Two corpora sharing a calibration but
-// differing in constants (e.g. an explicit spr_base) predict differently,
-// so they must select distinct shard replica entries — while still sharing
-// the calibration's single fit.
-std::uint64_t corpus_key_for(const serve::ServiceConfig& service,
-                             std::uint64_t fingerprint) {
-  std::uint64_t key = hash_seed(fingerprint, std::uint64_t{0xC0B905ull});
-  const auto mix_double = [&key](double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-    std::memcpy(&bits, &v, sizeof(bits));
-    key = hash_combine(key, bits);
-  };
-  mix_double(service.constants.ap_fill);
-  mix_double(service.constants.ppt);
-  mix_double(service.constants.spr_base);
-  return key;
-}
+// Cache lock-sharding factor, and the consecutive clean watchdog polls
+// that promote a degraded worker back to healthy.
+constexpr int kCacheWays = 8;
+constexpr int kHealthRecoveryPolls = 4;
+
+// The clock-and-cost policy: everything live, record, and replay admission
+// do differently. Record and replay are correctness modes — the whole
+// admission serializes under the lock, so the schedule captures (or pins)
+// every submission, cache hits included — and neither adds the measured
+// queue-wait term.
+struct AdmissionPolicy {
+  bool schedule_clock;   // now_us from the replay schedule, not the wall clock
+  bool fixed_service;    // charge replay_service_us, not the workers' EWMA
+  bool queue_wait_term;  // start no sooner than now + the measured queue wait
+  bool serialized;       // hold the admission lock over the whole admission
+
+  static AdmissionPolicy of(bool recording, bool replaying) {
+    const bool serialized = recording || replaying;
+    return {replaying, replaying, !serialized, serialized};
+  }
+};
 
 // The shed refusal a client sees. Integer microseconds keep the message —
 // and therefore the wire bytes — independent of floating-point formatting
@@ -73,10 +74,7 @@ ServingCluster::ServingCluster(ClusterConfig config,
                                std::shared_ptr<serve::ModelRegistry> primary)
     : config_(std::move(config)),
       primary_(primary ? std::move(primary) : std::make_shared<serve::ModelRegistry>()),
-      router_(config_.shards > 0 ? config_.shards : 1,
-              RouterOptions{/*replicas=*/64, config_.rebalance, config_.imbalance_ratio,
-                            config_.rebalance_window > 0 ? config_.rebalance_window : 1,
-                            /*min_hot_load=*/32.0}),
+      estimates_(config_.replay_service_us > 0.0 ? config_.replay_service_us : 4.0),
       faults_(config_.fault),
       epoch_(std::chrono::steady_clock::now()) {
   // Resolve the configured corpora up front: the default first (selector
@@ -84,15 +82,13 @@ ServingCluster::ServingCluster(ClusterConfig config,
   // names are dropped — "" is reserved for the default corpus, "default"
   // is its metrics alias (a named reuse would emit colliding JSON keys),
   // and a duplicate would make resolution ambiguous (first writer wins,
-  // like the registry's adopt). Resolution fixes names, fingerprints, and
-  // keys only; the model bundles arrive lazily, on first query.
+  // like the registry's adopt). Resolution fixes names and fingerprints
+  // only; the model bundles arrive lazily, on first query.
   derive_spr_base(config_.service);
   auto default_corpus = std::make_unique<CorpusState>();
   default_corpus->service = config_.service;
   default_corpus->fingerprint =
       serve::ModelRegistry::fingerprint(config_.service.calibration);
-  default_corpus->corpus_key =
-      corpus_key_for(default_corpus->service, default_corpus->fingerprint);
   corpora_.push_back(std::move(default_corpus));
   for (const CorpusConfig& named : config_.corpora) {
     if (named.name.empty() || named.name == "default" || resolve_corpus(named.name) >= 0)
@@ -102,13 +98,12 @@ ServingCluster::ServingCluster(ClusterConfig config,
     state->service = named.service;
     derive_spr_base(state->service);
     state->fingerprint = serve::ModelRegistry::fingerprint(state->service.calibration);
-    state->corpus_key = corpus_key_for(state->service, state->fingerprint);
     corpora_.push_back(std::move(state));
   }
   corpus_queries_ = std::make_unique<std::atomic<long>[]>(corpora_.size());
   // The cache is hard-partitioned per configured corpus, so its shape
   // depends on the corpus count resolved above.
-  cache_ = std::make_unique<ResponseCache>(config_.cache_entries, config_.cache_ways,
+  cache_ = std::make_unique<ResponseCache>(config_.cache_entries, kCacheWays,
                                            corpora_.size());
 
   const int n_shards = config_.shards > 0 ? config_.shards : 1;
@@ -124,12 +119,11 @@ ServingCluster::ServingCluster(ClusterConfig config,
   const auto deadline = std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double, std::milli>(
           config_.batch_deadline_ms > 0.0 ? config_.batch_deadline_ms : 0.0));
+  queue_ = std::make_unique<WorkQueue>(config_.queue_capacity);
   shards_.reserve(static_cast<std::size_t>(n_shards));
   for (int s = 0; s < n_shards; ++s)
-    shards_.push_back(std::make_unique<Shard>(s, config_.queue_capacity,
-                                              config_.batch_size, deadline,
-                                              config_.replay_service_us));
-  backlog_end_us_.assign(static_cast<std::size_t>(n_shards), 0.0);
+    shards_.push_back(
+        std::make_unique<Shard>(s, *queue_, config_.batch_size, deadline, estimates_));
 
   // Fault-tolerance knobs, sanitized to their invariants.
   if (config_.retry_limit < 0) config_.retry_limit = 0;
@@ -137,8 +131,7 @@ ServingCluster::ServingCluster(ClusterConfig config,
   if (config_.retry_backoff_max_us < config_.retry_backoff_us)
     config_.retry_backoff_max_us = config_.retry_backoff_us;
   if (config_.watchdog_poll_us <= 0) config_.watchdog_poll_us = 1000;
-  if (config_.health_recovery_polls < 1) config_.health_recovery_polls = 1;
-  // make_unique value-initializes: every shard starts kHealthy (0), with a
+  // make_unique value-initializes: every worker starts kHealthy (0), with a
   // zero suspect counter.
   health_ = std::make_unique<std::atomic<int>[]>(static_cast<std::size_t>(n_shards));
   suspect_ = std::make_unique<std::atomic<long>[]>(static_cast<std::size_t>(n_shards));
@@ -155,13 +148,15 @@ ServingCluster::~ServingCluster() {
   }
   refit_cv_.notify_all();
   if (refit_worker_.joinable()) refit_worker_.join();
-  // Watchdog next: a restart racing shard teardown must not happen. By
+  // Watchdog next: a restart racing worker teardown must not happen. By
   // contract every session is closed before destruction, so no in-flight
   // work depends on the watchdog anymore.
   watchdog_stop_.store(true, std::memory_order_release);
   if (watchdog_.joinable()) watchdog_.join();
-  // stop() closes each queue and joins its worker — a crashed one included.
-  for (const auto& shard : shards_) shard->stop();
+  // Closing the queue stops every worker once it drains; join each — a
+  // crashed one included.
+  queue_->close();
+  for (const auto& shard : shards_) shard->join();
 }
 
 int ServingCluster::resolve_corpus(const std::string& name) const {
@@ -186,8 +181,8 @@ void ServingCluster::ensure_serving() {
   // query naming each corpus (ensure_corpus_resident). Workers can start
   // immediately — every admitted item carries its own pinned bundle, so a
   // worker never needs model state the admission path did not resolve.
-  // Each shard owns its supervised worker; transient failures flow back
-  // through redeliver(), and the watchdog handles crashes and stalls.
+  // Each worker is supervised; transient failures flow back through
+  // redeliver(), and the watchdog handles crashes and stalls.
   ResponseCache* cache = cache_->enabled() ? cache_.get() : nullptr;
   core::FaultInjector* faults = faults_.armed() ? &faults_ : nullptr;
   for (const auto& shard : shards_)
@@ -254,9 +249,9 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
                            const serve::AdvisorRequest& request) {
   // Everything that is a pure function of the request is prepared BEFORE
   // any lock: the queue item's request copy (string allocations) and the
-  // canonical cache key (formatting + hashing). Concurrent producers pay
-  // only the slim order-dependent section serially — that is what lets N
-  // streams outrun one. The error paths (unknown corpus, cache hit, shed)
+  // canonical cache key (formatting + hashing). Concurrent live producers
+  // pay only the slim order-dependent section serially — that is what lets
+  // N streams outrun one. The error paths (unknown corpus, cache hit, shed)
   // discard the prepared item; they are the rare paths, and pessimizing
   // them keeps the admitted path minimal.
   StreamItem item;
@@ -272,356 +267,190 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   static thread_local std::string cache_key;
   if (cache_->enabled()) canonical_request_key_into(request, cache_key);
 
-  // Record/replay are correctness modes: the whole admission serializes
-  // under the lock so the schedule captures (or pins) every submission,
-  // cache hits included. Both flags are set before streams open, so a
-  // relaxed read is stable for the run.
-  if (replaying_.load(std::memory_order_relaxed) ||
-      recording_.load(std::memory_order_relaxed)) {
-    admit_serialized(session, slot, request, std::move(item), cache_key);
-    return;
+  // Both mode flags are set before streams open, so a relaxed read is
+  // stable for the run.
+  const AdmissionPolicy policy =
+      AdmissionPolicy::of(recording_.load(std::memory_order_relaxed),
+                          replaying_.load(std::memory_order_relaxed));
+  std::unique_lock<std::mutex> lock(admission_mutex_, std::defer_lock);
+  std::int64_t now_us = 0;
+  if (!policy.serialized) {
+    // Derived from the enqueue timestamp captured above — one clock read
+    // per admission, and the shed estimate can never postdate the queue
+    // span.
+    now_us = std::chrono::duration_cast<std::chrono::microseconds>(item.enqueued - epoch_)
+                 .count();
+  } else {
+    lock.lock();
+    if (policy.schedule_clock) {
+      // Each submission waits until the schedule reaches its (stream, seq):
+      // what pins the interleaving.
+      replay_cv_.wait(lock, [&] {
+        return replay_cursor_ >= replay_.size() ||
+               (replay_[replay_cursor_].stream == session->id() &&
+                replay_[replay_cursor_].seq == slot);
+      });
+      if (replay_cursor_ >= replay_.size())
+        throw std::runtime_error(
+            "replay: admission schedule exhausted (submission not in the recording)");
+      now_us = replay_[replay_cursor_].t_us;
+      ++replay_cursor_;
+      replay_cv_.notify_all();
+    } else {
+      now_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                   std::chrono::steady_clock::now() - epoch_)
+                   .count();
+      recorded_.push_back({session->id(), slot, now_us});
+    }
   }
+  // Answers the request here, off the queue; the session handoff never
+  // happens under the admission lock.
+  const auto answer = [&](serve::AdvisorResponse&& response) {
+    if (lock.owns_lock()) lock.unlock();
+    session->deliver(slot, std::move(response));
+  };
 
-  // Derived from the enqueue timestamp captured above — one clock read per
-  // admission, and the shed estimate can never postdate the queue span.
-  const std::int64_t now_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                                  item.enqueued - epoch_)
-                                  .count();
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  // Live tracing on this path (wall microseconds since the recorder's
-  // epoch); the serialized path below owns the virtual-clock variant. The
-  // admit instant reuses the item's enqueue timestamp so it can never
-  // postdate the queue span the worker will stamp from the same clock.
+  // Tracing. Live runs stamp wall microseconds since the recorder's epoch.
+  // Under a virtual-clock recorder (replay), EVERY event of this request's
+  // chain is emitted here, from the schedule's virtual timestamps and the
+  // backlog arithmetic, on a per-stream lane — a pure function of
+  // (schedule, requests), so the exported trace is byte-identical across
+  // fresh clusters (the workers stay silent; shard.cpp suppresses live
+  // emission when the clock is virtual). Instants are recorded BEFORE the
+  // session handoff: once a request's future resolves, its whole chain is
+  // in the rings, so an exporter woken by the delivery never reads a
+  // half-written chain.
   obs::TraceRecorder* const tr = config_.trace;
-  const bool tracing = tr && tr->enabled() && !tr->virtual_clock();
-  const auto trace_instant = [&](const char* name, const char* note,
-                                 std::int64_t ts) {
+  const bool tracing = tr && tr->enabled() && (policy.serialized || !tr->virtual_clock());
+  const bool virt = tracing && tr->virtual_clock();
+  const auto stamp = [&] { return virt ? now_us : tr->now_us(); };
+  const auto trace_event = [&](const char* name, const char* note, std::int64_t ts) {
     obs::TraceEvent e{};
     e.name = name;
     e.cat = "req";
     e.phase = 'i';
     e.note = note;
     e.ts_us = ts;
+    if (virt) e.tid = static_cast<std::uint32_t>(session->id() + 1);
     e.stream = session->id();
     e.seq = slot;
-    tr->record(e);
+    return e;
   };
-  if (tracing) trace_instant("admit", nullptr, tr->since_epoch_us(item.enqueued));
+  const auto trace_instant = [&](const char* name, const char* note, std::int64_t ts) {
+    tr->record(trace_event(name, note, ts));
+  };
+  // The admit instant reuses the item's enqueue timestamp so it can never
+  // postdate the queue span the worker will stamp from the same clock.
+  if (tracing)
+    trace_instant("admit", nullptr, virt ? now_us : tr->since_epoch_us(item.enqueued));
+
+  queries_.fetch_add(1, std::memory_order_relaxed);
   // corpora_ is immutable after construction; resolution needs no lock.
   const int corpus_idx = resolve_corpus(request.corpus);
   if (corpus_idx < 0) {
     unknown_corpus_queries_.fetch_add(1, std::memory_order_relaxed);
+    if (tracing) trace_instant("deliver", "unknown-corpus", stamp());
     serve::AdvisorResponse r;
     r.status = serve::AdvisorResponse::Status::kError;
     r.error =
         "unknown corpus \"" + request.corpus + "\" (not resident on this cluster)";
-    // All four live-path deliver instants are recorded BEFORE the session
-    // handoff (matching the serialized path and the shard worker): once a
-    // request's future resolves, its whole chain is in the rings, so an
-    // exporter woken by the delivery never reads a half-written chain.
-    if (tracing) trace_instant("deliver", "unknown-corpus", tr->now_us());
-    session->deliver(slot, std::move(r));
+    answer(std::move(r));
     return;
   }
   corpus_queries_[static_cast<std::size_t>(corpus_idx)].fetch_add(
       1, std::memory_order_relaxed);
   CorpusState& corpus = *corpora_[static_cast<std::size_t>(corpus_idx)];
   // Lazy residency: the first query naming a corpus pays its fit here
-  // (one-time, serialized under fit_mutex_); every later query is one
-  // atomic load. Then pin the CURRENT bundle into the item — from here on
-  // the request is bound to this epoch, whatever a concurrent refit does.
+  // (one-time, serialized under fit_mutex_ — and, when recording, under
+  // the admission lock, so the fit lands at a deterministic point in the
+  // admission order); every later query is one atomic load. Then pin the
+  // CURRENT bundle into the item — from here on the request is bound to
+  // this epoch, whatever a concurrent refit does.
   if (!ensure_corpus_resident(static_cast<std::size_t>(corpus_idx))) {
     degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (tracing) trace_instant("deliver", "degraded", tr->now_us());
-    session->deliver(slot, degraded_response(
-                               "corpus \"" +
-                               (corpus.name.empty() ? std::string("default")
-                                                    : corpus.name) +
-                               "\" unavailable: calibration fit failed"));
+    if (tracing) trace_instant("deliver", "degraded", stamp());
+    answer(degraded_response("corpus \"" +
+                             (corpus.name.empty() ? std::string("default") : corpus.name) +
+                             "\" unavailable: calibration fit failed"));
     return;
   }
   item.bundle = std::atomic_load(&corpus.bundle);
   item.constants = &corpus.service.constants;
   item.corpus_index = corpus_idx;
 
-  // Cache before routing and before the deadline check: a hit costs no
-  // queue time, so shedding it would refuse work the cluster can do for
-  // free — and the canonical key excludes deadline/priority, so a hurried
-  // request hits entries its relaxed twin populated. The probe is scoped
-  // to the corpus's partition and the PINNED epoch, so a hit is exactly
-  // the bytes this epoch's evaluation would produce. The cache is
-  // internally lock-sharded; probing it needs no admission lock.
+  // Cache before the deadline check: a hit costs no queue time, so
+  // shedding it would refuse work the cluster can do for free — and the
+  // canonical key excludes deadline/priority, so a hurried request hits
+  // entries its relaxed twin populated. The probe is scoped to the
+  // corpus's partition and the PINNED epoch, so a hit is exactly the bytes
+  // this epoch's evaluation would produce. The cache is internally
+  // lock-sharded; live probing needs no admission lock.
   if (cache_->enabled()) {
-    const std::int64_t probe_begin_us = tracing ? tr->now_us() : 0;
+    const bool probe_span = tracing && !virt;
+    const std::int64_t probe_begin_us = probe_span ? tr->now_us() : 0;
     serve::AdvisorResponse hit;
     const bool was_hit = cache_->lookup(static_cast<std::size_t>(corpus_idx),
                                         item.bundle->epoch, cache_key, hit);
-    if (tracing) {
-      obs::TraceEvent probe{};
-      probe.name = "cache-probe";
-      probe.cat = "req";
+    if (probe_span) {
+      obs::TraceEvent probe = trace_event("cache-probe", nullptr, probe_begin_us);
       probe.phase = 'X';
-      probe.ts_us = probe_begin_us;
       probe.dur_us = tr->now_us() - probe_begin_us;
-      probe.stream = session->id();
-      probe.seq = slot;
       probe.values = 1;
       probe.v0 = was_hit ? 1 : 0;
       tr->record(probe);
     }
     if (was_hit) {
-      if (tracing) trace_instant("deliver", "cache-hit", tr->now_us());
-      session->deliver(slot, std::move(hit));
+      if (tracing) trace_instant("deliver", "cache-hit", stamp());
+      answer(std::move(hit));
       return;
     }
   }
 
-  std::size_t shard_idx = 0;
-  bool routed_around_down = false;
-  {
-    std::unique_lock<std::mutex> lock(admission_mutex_);
-    shard_idx = static_cast<std::size_t>(router_.route(corpus.corpus_key, request.arch));
-    // Failover routing: a shard whose worker is down (crash detected, not
-    // yet restarted) is skipped in favor of the first live shard in the
-    // key's deterministic rendezvous order. Placement never changes bytes;
-    // this only keeps fresh admissions off a queue nobody is draining.
-    if (health(shard_idx) == ShardHealth::kDown) {
-      for (const int s : router_.rendezvous_order(corpus.corpus_key, request.arch)) {
-        if (health(static_cast<std::size_t>(s)) != ShardHealth::kDown) {
-          shard_idx = static_cast<std::size_t>(s);
-          failovers_.fetch_add(1, std::memory_order_relaxed);
-          routed_around_down = true;
-          break;
-        }
-      }
-    }
-
-    // Deadline-aware admission control, the Horvitz & Lengyel budget
-    // framing applied to queueing: each shard's backlog_end is the virtual
-    // time its queue drains at; if this request would complete past its
-    // deadline, refuse it NOW with an explicit shed response instead of
-    // letting it rot in the queue. Admitted work advances the backlog,
-    // charged at the shard's measured EWMA — and an earliest start no
-    // sooner than the shard's MEASURED queue wait (the stage histogram's
-    // EWMA), so the estimate reflects real queue time, not just the
-    // virtual backlog arithmetic.
-    const double service_us = shards_[shard_idx]->service_estimate_us();
-    const double wait_us = shards_[shard_idx]->queue_wait_estimate_us();
-    double& backlog = backlog_end_us_[shard_idx];
-    const double start_us =
-        std::max(backlog, static_cast<double>(now_us) + wait_us);
-    const double done_us = start_us + service_us;
-    if (request.deadline_us > 0 &&
-        done_us - static_cast<double>(now_us) > static_cast<double>(request.deadline_us)) {
-      shed_queries_.fetch_add(1, std::memory_order_relaxed);
-      lock.unlock();
-      if (tracing) {
-        obs::TraceEvent shed{};
-        shed.name = "shed";
-        shed.cat = "req";
-        shed.phase = 'i';
-        shed.note = "deadline";
-        shed.ts_us = tr->now_us();
-        shed.stream = session->id();
-        shed.seq = slot;
-        shed.values = 2;
-        shed.v0 = static_cast<std::int64_t>(done_us) - now_us;
-        shed.v1 = request.deadline_us;
-        tr->record(shed);
-      }
-      session->deliver(slot, shed_response(static_cast<long>(done_us) - now_us,
-                                           request.deadline_us));
-      return;
-    }
-    backlog = done_us;
-    item.admit_seq = admit_seq_++;
-  }
-  if (tracing && routed_around_down)
-    trace_instant("failover", "admission", tr->now_us());
-
-  item.corpus_key = corpus.corpus_key;
-  if (request.deadline_us > 0) item.deadline_at_us = now_us + request.deadline_us;
-  // Blocking bounded push OUTSIDE the admission lock: backpressure from a
-  // full queue stalls this admitter only. Everything order-dependent
-  // (shed accounting, admit_seq) is already fixed, and the ordered queue
-  // serves by key, so arrival order cannot change results. A false return
-  // means shutdown raced this admission — the queue will never drain the
-  // item, so answer it here or close() would hang on the owed slot.
-  if (!shards_[shard_idx]->enqueue(std::move(item))) {
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (tracing) trace_instant("deliver", "degraded", tr->now_us());
-    session->deliver(slot, degraded_response("cluster shut down before evaluation"));
-  }
-}
-
-// The record/replay admission path: one lock over the whole decision so
-// the schedule is a faithful serialization of every submission. Replay
-// blocks each submission until the schedule reaches its (stream, seq) —
-// what pins the interleaving — and substitutes the recorded virtual
-// timestamp and the fixed replay service cost, making shed decisions a
-// pure function of (schedule, requests).
-void ServingCluster::admit_serialized(const std::shared_ptr<SessionState>& session,
-                                      std::size_t slot,
-                                      const serve::AdvisorRequest& request,
-                                      StreamItem&& item, const std::string& cache_key) {
-  std::unique_lock<std::mutex> lock(admission_mutex_);
-
-  std::int64_t now_us = 0;
-  if (replaying_.load(std::memory_order_relaxed)) {
-    replay_cv_.wait(lock, [&] {
-      return replay_cursor_ >= replay_.size() ||
-             (replay_[replay_cursor_].stream == session->id() &&
-              replay_[replay_cursor_].seq == slot);
-    });
-    if (replay_cursor_ >= replay_.size())
-      throw std::runtime_error(
-          "replay: admission schedule exhausted (submission not in the recording)");
-    now_us = replay_[replay_cursor_].t_us;
-    ++replay_cursor_;
-    replay_cv_.notify_all();
-  } else {
-    now_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                 std::chrono::steady_clock::now() - epoch_)
-                 .count();
-  }
-  if (recording_.load(std::memory_order_relaxed))
-    recorded_.push_back({session->id(), slot, now_us});
-
-  // Tracing on the serialized path. Under a virtual-clock recorder
-  // (replay), EVERY event of this request's chain is emitted here, from
-  // the schedule's virtual timestamps and the backlog arithmetic, on a
-  // per-stream lane — a pure function of (schedule, requests), so the
-  // exported trace is byte-identical across fresh clusters (the workers
-  // stay silent; shard.cpp suppresses live emission when the clock is
-  // virtual). A live-clock recorder (recording mode) just stamps the
-  // admit instant; the workers trace the rest as usual.
-  obs::TraceRecorder* const tr = config_.trace;
-  const bool tracing = tr && tr->enabled();
-  const bool virt = tracing && tr->virtual_clock();
-  const std::uint32_t lane = static_cast<std::uint32_t>(session->id() + 1);
-  const auto trace_instant = [&](const char* name, const char* note,
-                                 std::int64_t ts) {
-    obs::TraceEvent e{};
-    e.name = name;
-    e.cat = "req";
-    e.phase = 'i';
-    e.note = note;
-    e.ts_us = ts;
-    if (virt) e.tid = lane;
-    e.stream = session->id();
-    e.seq = slot;
-    tr->record(e);
-  };
-  if (tracing)
-    trace_instant("admit", nullptr, virt ? now_us : tr->since_epoch_us(item.enqueued));
-
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  const int corpus_idx = resolve_corpus(request.corpus);
-  if (corpus_idx < 0) {
-    unknown_corpus_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (tracing)
-      trace_instant("deliver", "unknown-corpus", virt ? now_us : tr->now_us());
-    lock.unlock();
-    serve::AdvisorResponse r;
-    r.status = serve::AdvisorResponse::Status::kError;
-    r.error =
-        "unknown corpus \"" + request.corpus + "\" (not resident on this cluster)";
-    session->deliver(slot, std::move(r));
-    return;
-  }
-  corpus_queries_[static_cast<std::size_t>(corpus_idx)].fetch_add(
-      1, std::memory_order_relaxed);
-  CorpusState& corpus = *corpora_[static_cast<std::size_t>(corpus_idx)];
-  // Same lazy-residency + epoch-pinning sequence as the live path; the
-  // serialized path just runs it under the admission lock, so a recorded
-  // schedule's first-query fit lands at a deterministic point in the
-  // admission order.
-  if (!ensure_corpus_resident(static_cast<std::size_t>(corpus_idx))) {
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (tracing) trace_instant("deliver", "degraded", virt ? now_us : tr->now_us());
-    lock.unlock();
-    session->deliver(slot, degraded_response(
-                               "corpus \"" +
-                               (corpus.name.empty() ? std::string("default")
-                                                    : corpus.name) +
-                               "\" unavailable: calibration fit failed"));
-    return;
-  }
-  item.bundle = std::atomic_load(&corpus.bundle);
-  item.constants = &corpus.service.constants;
-  item.corpus_index = corpus_idx;
-
-  if (cache_->enabled()) {
-    serve::AdvisorResponse hit;
-    if (cache_->lookup(static_cast<std::size_t>(corpus_idx), item.bundle->epoch,
-                       cache_key, hit)) {
-      if (tracing) trace_instant("deliver", "cache-hit", virt ? now_us : tr->now_us());
-      lock.unlock();
-      session->deliver(slot, std::move(hit));
-      return;
-    }
-  }
-
-  std::size_t shard_idx = static_cast<std::size_t>(
-      router_.route(corpus.corpus_key, request.arch));
-  if (health(shard_idx) == ShardHealth::kDown) {
-    for (const int s : router_.rendezvous_order(corpus.corpus_key, request.arch)) {
-      if (health(static_cast<std::size_t>(s)) != ShardHealth::kDown) {
-        shard_idx = static_cast<std::size_t>(s);
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-    }
-  }
-  const double service_us = replaying_.load(std::memory_order_relaxed)
+  // Deadline-aware admission control, the Horvitz & Lengyel budget framing
+  // applied to queueing: backlog_end_us_ is the virtual time the workers
+  // could start the next request; if this one would complete past its
+  // deadline, refuse it NOW with an explicit shed response instead of
+  // letting it rot in the queue. The service charge is the workers'
+  // measured EWMA (replay: the fixed replay_service_us, keeping shedding a
+  // pure function of the schedule); live admission also starts no sooner
+  // than the MEASURED queue wait, so the estimate reflects real queue
+  // time, not just the virtual backlog arithmetic. Admitted work advances
+  // the backlog by its share of the W workers' capacity.
+  if (!policy.serialized) lock.lock();
+  const double service_us = policy.fixed_service
                                 ? config_.replay_service_us
-                                : shards_[shard_idx]->service_estimate_us();
-  double& backlog = backlog_end_us_[shard_idx];
-  const double start_us = std::max(backlog, static_cast<double>(now_us));
+                                : estimates_.service_us.load(std::memory_order_relaxed);
+  const double wait_us =
+      policy.queue_wait_term ? estimates_.queue_wait_us.load(std::memory_order_relaxed)
+                             : 0.0;
+  const double start_us = std::max(backlog_end_us_, static_cast<double>(now_us) + wait_us);
   const double done_us = start_us + service_us;
   if (request.deadline_us > 0 &&
       done_us - static_cast<double>(now_us) > static_cast<double>(request.deadline_us)) {
     shed_queries_.fetch_add(1, std::memory_order_relaxed);
     if (tracing) {
-      obs::TraceEvent shed{};
-      shed.name = "shed";
-      shed.cat = "req";
-      shed.phase = 'i';
-      shed.note = "deadline";
-      shed.ts_us = virt ? now_us : tr->now_us();
-      if (virt) shed.tid = lane;
-      shed.stream = session->id();
-      shed.seq = slot;
+      obs::TraceEvent shed = trace_event("shed", "deadline", stamp());
       shed.values = 2;
       shed.v0 = static_cast<std::int64_t>(done_us) - now_us;
       shed.v1 = request.deadline_us;
       tr->record(shed);
     }
-    lock.unlock();
-    session->deliver(slot, shed_response(static_cast<long>(done_us) - now_us,
-                                         request.deadline_us));
+    answer(shed_response(static_cast<long>(done_us) - now_us, request.deadline_us));
     return;
   }
-  backlog = done_us;
+  backlog_end_us_ = start_us + service_us / static_cast<double>(shards_.size());
 
   if (virt) {
     // The admitted request's remaining virtual chain: it waits in the
-    // queue until the shard's virtual backlog reaches it, evaluates for
-    // the fixed replay service cost, and delivers at its virtual
-    // completion. Truncation is monotone (floor(a) <= floor(b) for
-    // a <= b), so the spans can never disorder.
-    const std::int64_t q_start = now_us;
+    // queue until the virtual backlog reaches it, evaluates for the fixed
+    // replay service cost, and delivers at its virtual completion.
+    // Truncation is monotone (floor(a) <= floor(b) for a <= b), so the
+    // spans can never disorder.
     const std::int64_t e_start = static_cast<std::int64_t>(start_us);
     const std::int64_t e_end = static_cast<std::int64_t>(done_us);
-    obs::TraceEvent queue_span{};
-    queue_span.name = "queue";
-    queue_span.cat = "req";
+    obs::TraceEvent queue_span = trace_event("queue", nullptr, now_us);
     queue_span.phase = 'X';
-    queue_span.ts_us = q_start;
-    queue_span.dur_us = e_start - q_start;
-    queue_span.tid = lane;
-    queue_span.stream = session->id();
-    queue_span.seq = slot;
+    queue_span.dur_us = e_start - now_us;
     tr->record(queue_span);
     obs::TraceEvent eval_span = queue_span;
     eval_span.name = "eval";
@@ -631,29 +460,29 @@ void ServingCluster::admit_serialized(const std::shared_ptr<SessionState>& sessi
     trace_instant("deliver", nullptr, e_end);
   }
 
-  item.corpus_key = corpus.corpus_key;
   if (request.deadline_us > 0) item.deadline_at_us = now_us + request.deadline_us;
   item.admit_seq = admit_seq_++;
-  Shard& shard = *shards_[shard_idx];
   lock.unlock();
-  if (!shard.enqueue(std::move(item))) {
+  // Blocking bounded push OUTSIDE the admission lock: backpressure from a
+  // full queue stalls this admitter only. Everything order-dependent (shed
+  // accounting, admit_seq) is already fixed, and the ordered queue serves
+  // by key, so arrival order cannot change results. A false return means
+  // shutdown raced this admission — no worker will drain the item, so
+  // answer it here or close() would hang on the owed slot.
+  if (!queue_->push(std::move(item))) {
     degraded_queries_.fetch_add(1, std::memory_order_relaxed);
     if (tracing && !virt) trace_instant("deliver", "degraded", tr->now_us());
-    session->deliver(slot, degraded_response("cluster shut down before evaluation"));
+    answer(degraded_response("cluster shut down before evaluation"));
   }
-}
-
-void ServingCluster::kick_all() {
-  for (const auto& shard : shards_) shard->kick();
 }
 
 void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) {
   if (items.empty()) return;
-  // Note the failure burst against the source shard; the watchdog turns it
+  // Note the failure burst against the source worker; the watchdog turns it
   // into a degraded health mark on its next poll.
   suspect_[static_cast<std::size_t>(from_shard)].fetch_add(1, std::memory_order_relaxed);
   const bool replaying = replaying_.load(std::memory_order_relaxed);
-  // Retry/failover annotations are live-trace only: under a virtual clock
+  // Retry/re-drive annotations are live-trace only: under a virtual clock
   // the admission path already emitted each request's deterministic chain,
   // and wall-clocked retry instants would break its byte reproducibility.
   obs::TraceRecorder* const tr = config_.trace;
@@ -717,21 +546,12 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
     }
     retries_.fetch_add(1, std::memory_order_relaxed);
     if (tracing) trace_instant(item, "retry", nullptr);
-    // Failover target: the first live shard other than the one that failed
-    // the item, walking the key's deterministic rendezvous order — the
-    // same permutation hot-key splitting uses, so a key's retry placement
-    // is as stable as its routing.
-    int target = -1;
-    for (const int s : router_.rendezvous_order(item.corpus_key, item.request.arch)) {
-      if (s == from_shard) continue;
-      if (health(static_cast<std::size_t>(s)) == ShardHealth::kDown) continue;
-      target = s;
-      break;
-    }
+    // Re-drive onto the shared queue: whichever worker is free pulls it
+    // next (the one that failed it included — the fault schedule keys on
+    // the attempt, not on the worker).
     const std::uint64_t item_stream = item.session->id();
     const std::uint64_t item_seq = item.slot;
-    if (target >= 0 &&
-        shards_[static_cast<std::size_t>(target)]->try_enqueue(std::move(item))) {
+    if (queue_->try_push(std::move(item))) {
       failovers_.fetch_add(1, std::memory_order_relaxed);
       if (tracing) {
         obs::TraceEvent e{};
@@ -741,27 +561,24 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
         e.ts_us = tr->now_us();
         e.stream = item_stream;
         e.seq = item_seq;
-        e.values = 1;
-        e.v0 = target;
         tr->record(e);
       }
       // Flush promptly: the re-driven item may be a closing stream's last
       // owed slot, past its kick.
-      shards_[static_cast<std::size_t>(target)]->kick();
+      queue_->kick();
       continue;
     }
-    // No live alternative (single shard, every sibling down) or the target
-    // queue is full/closed — try_enqueue left the item untouched. Evaluate
-    // inline on the failing shard's replica set: never blocks (a blocking
-    // push from worker/watchdog context could deadlock shards against each
-    // other), and the response is the normal pure bytes, because WHO
+    // The queue is full or closed — try_push left the item untouched.
+    // Evaluate inline: never blocks (a blocking push from worker or
+    // watchdog context could deadlock the workers against their own
+    // queue), and the response is the normal pure bytes, because WHO
     // evaluates never matters. WHETHER it fails still must: the inline
-    // path walks the same deterministic fault ladder the supervised worker
-    // would have — crash site first, then eval-throw, each consuming the
-    // attempt — or a transiently unreachable sibling would let a request
-    // dodge its scheduled failures and break same-seed byte identity. A
-    // crash firing here cannot kill a worker (this is watchdog or sibling-
-    // worker context); both sites are just transient failures.
+    // path walks the same deterministic fault ladder a worker would have —
+    // crash site first, then eval-throw, each consuming the attempt — or a
+    // full queue would let a request dodge its scheduled failures and
+    // break same-seed byte identity. A crash firing here cannot kill a
+    // worker (this may be watchdog context); both sites are just transient
+    // failures.
     for (;;) {
       if (item.attempt > config_.retry_limit) {
         degrade_exhausted(item);
@@ -790,7 +607,7 @@ void ServingCluster::redeliver(std::vector<StreamItem>&& items, int from_shard) 
 void ServingCluster::watchdog_loop() {
   const std::size_t n = shards_.size();
   // Watchdog-local history: last observed heartbeat/suspect count and the
-  // consecutive-clean-poll streak per shard. No other thread needs them.
+  // consecutive-clean-poll streak per worker. No other thread needs them.
   std::vector<std::uint64_t> last_beat(n, 0);
   std::vector<long> last_suspect(n, 0);
   std::vector<int> clean(n, 0);
@@ -799,9 +616,9 @@ void ServingCluster::watchdog_loop() {
     for (std::size_t s = 0; s < n; ++s) {
       Shard& shard = *shards_[s];
       if (shard.worker_down()) {
-        // Crash: down while nobody drains the queue (admission routes
-        // around), reclaim the corpse, restart, re-drive the batch it
-        // held. The shard resumes degraded and earns healthy back through
+        // Crash: the dead worker pulls nothing (the others keep draining
+        // the queue); reclaim the corpse, restart, re-drive the batch it
+        // held. The worker resumes degraded and earns healthy back through
         // clean polls.
         health_[s].store(static_cast<int>(ShardHealth::kDown),
                          std::memory_order_relaxed);
@@ -822,10 +639,9 @@ void ServingCluster::watchdog_loop() {
       const long suspect = suspect_[s].load(std::memory_order_relaxed);
       const bool newly_suspect = suspect != last_suspect[s];
       last_suspect[s] = suspect;
-      // Stalled = heartbeat frozen WITH work pending; an idle worker parked
-      // on an empty queue legitimately stops beating.
-      const bool stalled =
-          !advanced && (shard.queue_depth() > 0 || shard.has_inflight());
+      // Stalled = heartbeat frozen while holding a batch; an idle worker
+      // parked on the queue legitimately stops beating.
+      const bool stalled = !advanced && shard.has_inflight();
       const int current = health_[s].load(std::memory_order_relaxed);
       if (stalled || newly_suspect) {
         if (current == static_cast<int>(ShardHealth::kHealthy))
@@ -833,7 +649,7 @@ void ServingCluster::watchdog_loop() {
                            std::memory_order_relaxed);
         clean[s] = 0;
       } else if (current == static_cast<int>(ShardHealth::kDegraded)) {
-        if (++clean[s] >= config_.health_recovery_polls) {
+        if (++clean[s] >= kHealthRecoveryPolls) {
           health_[s].store(static_cast<int>(ShardHealth::kHealthy),
                            std::memory_order_relaxed);
           clean[s] = 0;
@@ -984,10 +800,10 @@ std::uint64_t StreamSession::submit(const serve::AdvisorRequest& request) {
 
 std::vector<serve::AdvisorResponse> StreamSession::close() {
   if (!state_) return {};
-  // Flush partial shard batches so the tail is answered promptly, then
+  // Flush the partial batch so the tail is answered promptly, then
   // wait out every owed slot. The state_ reset is what marks the handle
   // spent; in-flight items (there are none by now) share ownership.
-  cluster_->kick_all();
+  cluster_->queue_->kick();
   std::vector<serve::AdvisorResponse> responses = state_->wait_drained();
   state_.reset();
   cluster_ = nullptr;
@@ -1023,7 +839,7 @@ void ServingCluster::begin_replay(AdmissionSchedule schedule) {
   replaying_ = true;
   // Replay's virtual clock restarts with the schedule; so must the shed
   // accounting that consumes it.
-  std::fill(backlog_end_us_.begin(), backlog_end_us_.end(), 0.0);
+  backlog_end_us_ = 0.0;
 }
 
 ClusterMetrics ServingCluster::metrics() const {
@@ -1039,9 +855,8 @@ ClusterMetrics ServingCluster::metrics() const {
     m.kick_flushes += s.kick_flushes;
     m.close_flushes += s.close_flushes;
     m.eval_exceptions += s.eval_exceptions;
-    if (shard->max_queue_depth() > m.max_queue_depth)
-      m.max_queue_depth = shard->max_queue_depth();
   }
+  m.max_queue_depth = queue_->max_depth();
   m.worker_restarts = worker_restarts_.load(std::memory_order_relaxed);
   m.failovers = failovers_.load(std::memory_order_relaxed);
   m.retries = retries_.load(std::memory_order_relaxed);
@@ -1051,7 +866,6 @@ ClusterMetrics ServingCluster::metrics() const {
   m.shard_health.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s)
     m.shard_health.emplace_back(shard_health_name(health(s)));
-  m.rebalanced_queries = router_.rebalanced();
   m.cache_lookups = cache_->lookups();
   m.cache_hits = cache_->hits();
   m.cache_hit_rate =
@@ -1059,8 +873,7 @@ ClusterMetrics ServingCluster::metrics() const {
           ? static_cast<double>(m.cache_hits) / static_cast<double>(m.cache_lookups)
           : 0.0;
   // The admission counters are atomics (the live fast path bumps them
-  // outside any lock); only the router's hot-key scan needs the admission
-  // lock, because route() mutates the load counters under it.
+  // outside any lock).
   m.queries = queries_.load(std::memory_order_relaxed);
   m.corpus_queries.reserve(corpora_.size());
   m.bundle_epoch.reserve(corpora_.size());
@@ -1076,11 +889,7 @@ ClusterMetrics ServingCluster::metrics() const {
   m.epoch_invalidations = epoch_invalidations_.load(std::memory_order_relaxed);
   m.streams = streams_.load(std::memory_order_relaxed);
   m.shed_queries = shed_queries_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(admission_mutex_);
-    m.hot_keys = router_.hot_keys();
-  }
-  // Per-stage histograms: merge each shard's cumulative roll-up (bounded
+  // Per-stage histograms: merge each worker's cumulative roll-up (bounded
   // memory, O(1) per merge — this replaced the old sample reservoir). The
   // legacy ms percentiles are views of the e2e histogram.
   for (const auto& shard : shards_)
@@ -1091,7 +900,7 @@ ClusterMetrics ServingCluster::metrics() const {
 }
 
 int ServingCluster::registry_fits() const {
-  // Shards hold no registries anymore; the primary is the only fitter.
+  // Workers hold no registries; the primary is the only fitter.
   return primary_->fits();
 }
 

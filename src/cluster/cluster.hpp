@@ -1,8 +1,6 @@
-// The sharded serving cluster (layer 5): turns the single-registry advisor
-// of src/serve/ into a simulated multi-shard, multi-corpus cluster on one
-// machine — the ROADMAP's "sharding/replication ... on the road to
-// heavy-traffic serving" and "continuous async serving front-end" items
-// made concrete. The paper's feasibility model is only meaningful per
+// The serving cluster (layer 5): turns the single-registry advisor of
+// src/serve/ into a multi-worker, multi-corpus serving front-end on one
+// machine. The paper's feasibility model is only meaningful per
 // calibration corpus (one machine/configuration fit, Tables 12-17); a
 // production advisor serves many machines at once, so the cluster holds
 // several corpora resident and requests carry a `corpus` selector.
@@ -12,47 +10,59 @@
 // each request flowing
 //
 //   submit ──corpus selector──> resident corpus (unknown name: in-slot
-//                  │             error response, no routing)
+//                  │             error response)
 //                  ├──canonical key──> ResponseCache ──hit──────────> slot
 //                  │ miss
-//                  ├─> Router (consistent hash of (corpus fingerprint,
-//                  │   arch); hot keys split across rendezvous sub-keys)
-//                  ├─> deadline check against the shard's virtual backlog
+//                  ├─> deadline check against the queue's virtual backlog
 //                  │   ──would miss──> explicit shed response ──────> slot
-//                  └─> the shard's bounded ordered queue (strict priority,
-//                      EDF within a class) ─> the shard's dedicated worker
-//                      thread drains coalesced batches ─>
-//                      serve::answer_request against the fingerprint-
-//                      selected replica bundle ─> slot (+ cache insert)
+//                  └─> the ONE bounded ordered queue (strict priority, EDF
+//                      within a class, then admission order) ─> whichever
+//                      of the N supervised workers is free pulls the next
+//                      coalesced batch ─> serve::answer_batch against the
+//                      item's pinned bundle ─> slot (+ cache insert)
 //
 // serve_batch still exists and is the compatibility surface: it opens a
 // session, submits the batch, and closes — so every batch-era caller rides
-// the streaming pipeline unchanged, and overlapping serve_batch calls now
+// the streaming pipeline unchanged, and overlapping serve_batch calls
 // genuinely overlap instead of serializing.
 //
 // Determinism contract (the cluster's load-bearing promise, enforced by
-// test_cluster, test_stream, and the three cluster benches): a response
-// is a pure function of (request, fitted models, mapping constants), so
-// WHAT a request answers is identical — byte-identical through
-// serve::to_jsonl — for any shard count, thread count, stream count,
-// cache state, resident-corpus count, and rebalancing setting. Shed
-// decisions are the one interleaving-dependent output; they become
-// deterministic in REPLAY mode, where a recorded admission schedule
+// test_cluster, test_stream, and the cluster benches): a response is a
+// pure function of (request, fitted models, mapping constants), so WHAT a
+// request answers is identical — byte-identical through serve::to_jsonl —
+// for any worker count, stream count, cache state, and resident-corpus
+// count. Shed decisions are the one interleaving-dependent output; they
+// become deterministic in REPLAY mode, where a recorded admission schedule
 // (stream id, seq, virtual timestamp) pins the interleaving and the
 // virtual clock, making shedding a pure function of (schedule, requests).
-// Live mode instead reads the wall clock and a measured service-time
+// Live mode instead reads the wall clock and the measured service-time
 // EWMA — fast, but not replayable without a recording.
 //
-// Replication and residency: the cluster fits each calibration corpus
-// LAZILY — on the first query that names it, not at boot — and exactly
-// once per distinct fingerprint (on the primary registry, which callers
-// may share across clusters); registry_fits() == distinct QUERIED
-// fingerprints at any shard count. Shards hold no model state: admission
-// pins the resolved corpus's current bundle (a shared_ptr) plus its
-// mapping constants into every StreamItem, so any shard can evaluate any
-// item and placement never changes bytes.
+// Admission is ONE function for all three modes; live, record, and replay
+// differ only in a small clock-and-cost policy: where now_us comes from
+// (wall clock, or the schedule under replay), which per-request service
+// charge applies (the workers' measured EWMA, or the fixed
+// replay_service_us under replay), whether the measured queue-wait EWMA is
+// added to the earliest start (live only), and how much of the admission
+// holds admission_mutex_ (the whole of it under record/replay; only the
+// slim shed/sequence section live). The shed backlog is one recurrence
+// over the shared queue, for W workers:
 //
-// Live recalibration (PR 8): bundles are epoch-versioned (registry.hpp).
+//   start   = max(backlog, now + wait)
+//   done    = start + service          (shed when done - now > deadline)
+//   backlog = start + service / W      (admitted requests only)
+//
+// At W = 1 this is exactly a single FIFO server's completion time.
+//
+// Residency: the cluster fits each calibration corpus LAZILY — on the
+// first query that names it, not at boot — and exactly once per distinct
+// fingerprint (on the primary registry, which callers may share across
+// clusters); registry_fits() == distinct QUERIED fingerprints at any
+// worker count. Workers hold no model state: admission pins the resolved
+// corpus's current bundle (a shared_ptr) plus its mapping constants into
+// every StreamItem, so any worker can evaluate any item.
+//
+// Live recalibration: bundles are epoch-versioned (registry.hpp).
 // append_observations() queues drift measurements against a resident
 // corpus; recalibrate()/refit() schedule a background refit job on the
 // cluster's refit worker (the observation study inside it runs on the
@@ -62,47 +72,48 @@
 // sweeps exactly those corpora's response-cache partitions of pre-swap
 // entries. In-flight requests finish on the epoch they were admitted
 // under (their pinned bundle), so for a FIXED epoch schedule responses
-// remain byte-identical at any shard/thread/cache configuration;
-// wait_refits() is the barrier that fixes the schedule.
+// remain byte-identical at any worker/cache configuration; wait_refits()
+// is the barrier that fixes the schedule.
 //
-// Fault tolerance (PR 7): shard workers are supervised — evaluation
-// exceptions become in-slot error responses, a heartbeat watchdog restarts
-// crashed workers and re-drives the batch they held, and transient
-// failures retry with bounded exponential backoff against the next shard
-// in the key's rendezvous order (routing around shards marked down),
-// degrading explicitly ("degraded":true on the wire) once the retry budget
-// or the request deadline is spent. Every fault is deterministic: the
-// core::FaultInjector keys each decision on (stream id, per-stream seq,
-// attempt), so a fixed ISR_FAULT_SEED reproduces the same failures — and
-// the same degraded bytes under --replay — at any thread count, while a
-// disarmed injector (the default) leaves every fault branch dead and the
-// byte-identity contract above untouched.
+// Fault tolerance: workers are supervised — evaluation exceptions
+// become in-slot error responses, a heartbeat watchdog restarts crashed
+// workers and re-drives the batch they held, and transient failures are
+// re-driven onto the shared queue (try_push; evaluated inline when the
+// queue is full) with bounded exponential backoff, degrading explicitly
+// ("degraded":true on the wire) once the retry budget or the request
+// deadline is spent. Failover needs no routing: a dead or stalled worker
+// simply stops pulling, and the others drain the queue. Every fault is
+// deterministic: the core::FaultInjector keys each decision on (stream id,
+// per-stream seq, attempt), so a fixed ISR_FAULT_SEED reproduces the same
+// failures — and the same degraded bytes under --replay — at any worker
+// count, while a disarmed injector (the default) leaves every fault branch
+// dead and the byte-identity contract above untouched.
 //
 // Locking, in admission order (no path holds two of these at once except
 // admission -> a session's own mutex inside deliver):
-//   admission_mutex_ — the order-dependent heart: routing (the router's
-//     decaying load counters), shed accounting against the per-shard
-//     virtual backlog, and the admission sequence. The LIVE path holds it
-//     only for that slim section — request copies, the canonical cache
-//     key, corpus resolution (immutable after construction), the cache
-//     probe (internally lock-sharded), and the admission counters
-//     (atomics) all happen outside, which is what lets N concurrent
-//     producers outrun one. Record/replay mode instead serializes the
-//     WHOLE admission under this lock, so the schedule captures (or pins)
-//     every submission, cache hits included.
-//   per-shard queue + stats locks — bounded blocking enqueue happens
-//     OUTSIDE admission_mutex_ (a full queue must not stall other
-//     admitters or a replay waiter; the admission-order guarantees are
-//     already fixed by then). The per-shard stats lock also guards the
-//     cumulative stage histograms metrics() merges — bounded memory, no
-//     reservoir, no cluster-level metrics lock anymore.
+//   admission_mutex_ — the order-dependent heart: shed accounting against
+//     the shared virtual backlog, the admission sequence, and the schedule
+//     cursor. The LIVE path holds it only for that slim section — request
+//     copies, the canonical cache key, corpus resolution (immutable after
+//     construction), the cache probe (internally lock-sharded), and the
+//     admission counters (atomics) all happen outside, which is what lets
+//     N concurrent producers outrun one. Record/replay mode instead
+//     serializes the WHOLE admission under this lock, so the schedule
+//     captures (or pins) every submission, cache hits included.
+//   the queue's lock — the bounded blocking push happens OUTSIDE
+//     admission_mutex_ (a full queue must not stall other admitters or a
+//     replay waiter; the admission-order guarantees are already fixed by
+//     then). Workers take it only to pop.
+//   per-worker stats locks — guard each worker's counters and cumulative
+//     stage histograms, which metrics() merges (bounded memory, no
+//     cluster-level metrics lock).
 //
-// Observability (PR 9): config.trace (nullable) wires an obs::TraceRecorder
-// through admission and the shard workers. Live runs stamp wall
-// microseconds; under --replay the admission path emits each request's
-// whole span chain from the schedule's virtual clock (workers stay silent),
-// so a replayed trace is byte-identical across fresh clusters. Tracing
-// never changes response bytes — every hook is behind a null/enabled check.
+// Observability: config.trace (nullable) wires an obs::TraceRecorder
+// through admission and the workers. Live runs stamp wall microseconds;
+// under --replay the admission path emits each request's whole span chain
+// from the schedule's virtual clock (workers stay silent), so a replayed
+// trace is byte-identical across fresh clusters. Tracing never changes
+// response bytes — every hook is behind a null/enabled check.
 #pragma once
 
 #include <atomic>
@@ -121,7 +132,6 @@
 
 #include "cluster/cache.hpp"
 #include "cluster/metrics.hpp"
-#include "cluster/router.hpp"
 #include "cluster/shard.hpp"
 #include "cluster/stream.hpp"
 #include "serve/advisor.hpp"
@@ -143,8 +153,8 @@ struct CorpusConfig {
 
 struct ClusterConfig {
   // The DEFAULT calibration corpus + mapping constants, exactly as a
-  // single AdvisorService takes them (the `threads` field is ignored — the
-  // cluster's evaluation parallelism is its shard workers). Requests with
+  // single AdvisorService takes them (its `threads` sizes only the
+  // calibration study's pool — evaluation parallelism is the workers). Requests with
   // an empty `corpus` selector resolve here.
   serve::ServiceConfig service;
 
@@ -155,27 +165,12 @@ struct ClusterConfig {
   // keyed by calibration AND constants).
   std::vector<CorpusConfig> corpora;
 
-  int shards = 1;                    // serving shards (>= 1), one worker thread each
+  int shards = 1;                    // workers draining the queue (>= 1)
   std::size_t cache_entries = 1024;  // total ResponseCache entries; 0 = off
-  int cache_ways = 8;                // cache lock-sharding factor
 
-  std::size_t queue_capacity = 1024;  // per-shard admission queue bound
+  std::size_t queue_capacity = 1024;  // the shared admission queue's bound
   std::size_t batch_size = 64;        // coalescing flush threshold
   double batch_deadline_ms = 0.5;     // coalescing deadline
-
-  // Hot-key rebalancing (see cluster/router.hpp): when one (corpus, arch)
-  // key's decaying load exceeds imbalance_ratio times a shard's fair
-  // share, it is split across the shards in the key's rendezvous order.
-  // imbalance_ratio <= 0 (or rebalance = false) pins every key to its home
-  // shard, the pre-rebalancing behavior.
-  bool rebalance = true;
-  double imbalance_ratio = 1.25;
-  std::size_t rebalance_window = 4096;  // decaying-counter halving period
-
-  // Retained for config compatibility with the batch era; the streaming
-  // pipeline's parallelism is one dedicated worker per shard, so this no
-  // longer allocates anything.
-  int threads = 0;
 
   // Shed accounting's per-request service cost in microseconds: the fixed
   // cost replay mode charges (keeping shed decisions a pure function of
@@ -204,13 +199,10 @@ struct ClusterConfig {
   // min(retry_backoff_us << (k-1), retry_backoff_max_us) microseconds.
   long retry_backoff_us = 50;
   long retry_backoff_max_us = 2000;
-  // Heartbeat watchdog poll period. Each poll checks every shard for a
-  // crashed worker (restart + re-drive) or a stalled one (stale heartbeat
-  // with work pending -> degraded).
+  // Heartbeat watchdog poll period. Each poll checks every worker for a
+  // crash (restart + re-drive) or a stall (stale heartbeat while holding
+  // a batch -> degraded).
   long watchdog_poll_us = 1000;
-  // Consecutive clean polls before a degraded shard is promoted back to
-  // healthy.
-  int health_recovery_polls = 4;
 };
 
 class ServingCluster {
@@ -221,14 +213,14 @@ class ServingCluster {
   explicit ServingCluster(ClusterConfig config = {},
                           std::shared_ptr<serve::ModelRegistry> primary = nullptr);
 
-  // Closes every shard queue and joins the workers. Every StreamSession
+  // Closes the queue and joins the workers. Every StreamSession
   // must be closed (or destroyed) first — sessions hold no cluster
   // ownership, and an in-flight request after destruction is a
   // use-after-free by contract.
   ~ServingCluster();
 
   // Opens a long-lived submission handle. Stream ids are assigned in open
-  // order (the replay matching key), and the first open starts the shard
+  // order (the replay matching key), and the first open starts the
   // workers, the watchdog, and the refit worker. Corpora are NOT fitted
   // here: residency is lazy, paid by the first query naming each corpus.
   // Thread-safe: any number of sessions may be open and submitting
@@ -255,15 +247,15 @@ class ServingCluster {
   void begin_replay(AdmissionSchedule schedule);
 
   // Cumulative metrics snapshot. Safe to call while streams are live: the
-  // admission counters are atomics, shard stats and stage histograms are
-  // read under each shard's own lock, and the snapshot merges per-shard
+  // admission counters are atomics, worker stats and stage histograms are
+  // read under each worker's own lock, and the snapshot merges per-worker
   // histograms into fresh cluster-wide roll-ups (bounded memory; nothing
   // is drained or reset).
   ClusterMetrics metrics() const;
 
   // Calibration fits performed (refits excluded). Under lazy residency
   // this must equal the number of distinct QUERIED corpus fingerprints —
-  // shards hold no registries, and corpora sharing a fingerprint share
+  // workers hold no registries, and corpora sharing a fingerprint share
   // one fit.
   int registry_fits() const;
 
@@ -314,10 +306,9 @@ class ServingCluster {
   friend class StreamSession;
 
   // One configured corpus, resolved at construction: its selector, its
-  // config (spr_base derived), its calibration fingerprint (what the
-  // registry fits once), and its corpus key (calibration + constants —
-  // what routing selects by, so corpora sharing a calibration but not
-  // constants never conflate). Model state arrives lazily: `bundle` is
+  // config (spr_base derived, so corpora sharing a calibration but not
+  // constants never conflate), and its calibration fingerprint (what the
+  // registry fits once). Model state arrives lazily: `bundle` is
   // null until the first query (or recalibration) naming this corpus
   // forces residency, and is thereafter swapped atomically by refits.
   struct CorpusState {
@@ -333,7 +324,6 @@ class ServingCluster {
     std::string name;
     serve::ServiceConfig service;
     std::uint64_t fingerprint = 0;
-    std::uint64_t corpus_key = 0;
     std::atomic<int> residency{kEmpty};
     // The corpus's CURRENT epoch bundle. Read with std::atomic_load and
     // written with std::atomic_store only (C++17 shared_ptr atomics), so
@@ -349,7 +339,7 @@ class ServingCluster {
     bool drift = false;
   };
 
-  // Starts the shard workers, the heartbeat watchdog, and the refit
+  // Starts the workers, the heartbeat watchdog, and the refit
   // worker. Lazy (first open_stream) so constructing a cluster stays
   // cheap; corpora are fitted even later, on first query.
   void ensure_serving();
@@ -368,37 +358,28 @@ class ServingCluster {
   void run_refit(const RefitJob& job);
 
   // The admission path (StreamSession::submit lands here): resolve, cache,
-  // route, shed-or-enqueue. `session` rides into the StreamItem so the
-  // shard can deliver. Live serving holds admission_mutex_ only for the
-  // route/shed/sequence section; record and replay divert to the fully
-  // serialized variant below.
+  // shed-or-enqueue, under the live or the record/replay clock-and-cost
+  // policy (see the header comment). `session` rides into the StreamItem
+  // so the worker can deliver.
   void admit(const std::shared_ptr<SessionState>& session, std::size_t slot,
              const serve::AdvisorRequest& request);
-  void admit_serialized(const std::shared_ptr<SessionState>& session, std::size_t slot,
-                        const serve::AdvisorRequest& request, StreamItem&& item,
-                        const std::string& cache_key);
-
-  // StreamSession::close support: flush every shard's partial batch so the
-  // session's in-flight tail is answered promptly.
-  void kick_all();
 
   // Index into corpora_ for a request's selector, or -1 when unknown.
   int resolve_corpus(const std::string& name) const;
 
-  // The failover/retry path (shard FailureHandler + watchdog re-drive):
-  // each item either re-enqueues on the next live shard in its key's
-  // rendezvous order (bounded exponential backoff, retries_/failovers_
-  // accounting), is evaluated inline when every queue route is saturated
-  // (pure bytes — WHO evaluates never matters), or — once its retry budget
-  // is spent or its deadline passed — receives an explicit degraded
-  // response. Never blocks on a queue, so it is deadlock-free from worker
-  // and watchdog context alike.
+  // The retry path (worker FailureHandler + watchdog re-drive): each item
+  // either goes back onto the shared queue (try_push, after bounded
+  // exponential backoff; retries_/failovers_ accounting), is evaluated
+  // inline when the queue is full or closed (pure bytes — WHO evaluates
+  // never matters), or — once its retry budget is spent or its deadline
+  // passed — receives an explicit degraded response. Never blocks on the
+  // queue, so it is deadlock-free from worker and watchdog context alike.
   void redeliver(std::vector<StreamItem>&& items, int from_shard);
 
-  // The heartbeat watchdog: polls every shard each watchdog_poll_us,
-  // restarts crashed workers (re-driving the batch they held), marks
-  // stalled or failing shards degraded, and promotes them back to healthy
-  // after health_recovery_polls clean polls. The only writer of health_.
+  // The heartbeat watchdog: polls every worker each watchdog_poll_us,
+  // restarts crashed ones (re-driving the batch they held), marks stalled
+  // or failing ones degraded, and promotes them back to healthy after
+  // kHealthRecoveryPolls clean polls. The only writer of health_.
   void watchdog_loop();
 
   ShardHealth health(std::size_t shard) const {
@@ -411,7 +392,9 @@ class ServingCluster {
   // must be stable for the cluster's lifetime.
   std::vector<std::unique_ptr<CorpusState>> corpora_;
   std::shared_ptr<serve::ModelRegistry> primary_;
-  Router router_;
+  // Declared before the workers: they hold references to both.
+  std::unique_ptr<WorkQueue> queue_;
+  LoadEstimates estimates_;
   std::vector<std::unique_ptr<Shard>> shards_;
   // Built in the constructor body, once the corpus count (its partition
   // count) is known.
@@ -435,16 +418,14 @@ class ServingCluster {
   std::atomic<long> epoch_invalidations_{0};
 
   // Fault-tolerance state. health_ is written by the watchdog only and
-  // read (relaxed) by admission/failover — a stale read routes to a shard
-  // about to be marked down, which the retry path then absorbs; bytes are
-  // placement-independent either way. suspect_ counts transient failures
-  // per shard (bumped by redeliver) so the watchdog notices failure bursts
+  // read (relaxed) by metrics(). suspect_ counts transient failures per
+  // worker (bumped by redeliver) so the watchdog notices failure bursts
   // between polls.
   core::FaultInjector faults_;
   std::thread watchdog_;
   std::atomic<bool> watchdog_stop_{false};
-  std::unique_ptr<std::atomic<int>[]> health_;   // ShardHealth per shard
-  std::unique_ptr<std::atomic<long>[]> suspect_; // transient failures per shard
+  std::unique_ptr<std::atomic<int>[]> health_;   // ShardHealth per worker
+  std::unique_ptr<std::atomic<long>[]> suspect_; // transient failures per worker
   std::atomic<long> worker_restarts_{0};
   std::atomic<long> failovers_{0};
   std::atomic<long> retries_{0};
@@ -452,16 +433,16 @@ class ServingCluster {
   std::atomic<long> degraded_queries_{0};
 
   // Admission state (all under admission_mutex_). backlog_end_us_ is the
-  // virtual time each shard's queue drains at: admission advances it by
-  // the service estimate, shedding compares a request's deadline against
-  // it. Virtual timestamps are microseconds since epoch_ (live) or the
-  // recorded t_us (replay).
+  // virtual time at which the workers could start the next admission (the
+  // recurrence in the header comment); shedding compares a request's
+  // deadline against it. Virtual timestamps are microseconds since epoch_
+  // (live, record) or the recorded t_us (replay).
   mutable std::mutex admission_mutex_;
   std::condition_variable replay_cv_;
   std::chrono::steady_clock::time_point epoch_;
   std::uint64_t next_stream_id_ = 0;
   std::uint64_t admit_seq_ = 0;
-  std::vector<double> backlog_end_us_;  // per shard
+  double backlog_end_us_ = 0.0;
   // Mode flags are atomic because the live fast path reads them without
   // the lock; both are fixed before streams open (enable_recording /
   // begin_replay precede serving by contract).
@@ -517,7 +498,7 @@ class StreamSession {
   // std::logic_error on a closed session.
   std::uint64_t submit(const serve::AdvisorRequest& request);
 
-  // Flushes in-flight requests (partial shard batches are kicked), waits
+  // Flushes in-flight requests (a partial batch is kicked), waits
   // for every response, and returns them in submission order. The session
   // is spent afterwards (open() == false).
   std::vector<serve::AdvisorResponse> close();

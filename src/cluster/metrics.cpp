@@ -77,7 +77,7 @@ std::string ClusterMetrics::to_jsonl() const {
   }
   epoch_map += "}";
 
-  // Per-shard health as a JSON string array, shard order.
+  // Per-worker health as a JSON string array, worker order.
   std::string health_list = "[";
   for (std::size_t s = 0; s < shard_health.size(); ++s) {
     health_list += s == 0 ? "\"" : ",\"";
@@ -86,13 +86,16 @@ std::string ClusterMetrics::to_jsonl() const {
   }
   health_list += "]";
 
+  // "rebalanced_queries" is a fixed 0: the cluster does not route by key,
+  // so nothing is rebalanced; the field stays because existing parsers of
+  // the line read it.
   const char* fmt =
       "{\"shards\":%d,\"queries\":%ld,\"shard_queries\":%s,"
       "\"corpus_queries\":%s,\"unknown_corpus_queries\":%ld,"
       "\"bundle_epoch\":%s,\"refits\":%ld,\"lazy_fits\":%ld,"
       "\"epoch_invalidations\":%ld,"
       "\"streams\":%ld,\"shed_queries\":%ld,"
-      "\"rebalanced_queries\":%ld,\"hot_keys\":%d,"
+      "\"rebalanced_queries\":0,"
       "\"cache_lookups\":%ld,\"cache_hits\":%ld,\"cache_hit_rate\":%.6f,"
       "\"worker_restarts\":%ld,\"failovers\":%ld,\"retries\":%ld,"
       "\"timeouts\":%ld,\"degraded_queries\":%ld,\"eval_exceptions\":%ld,"
@@ -108,21 +111,20 @@ std::string ClusterMetrics::to_jsonl() const {
   const int len = std::snprintf(
       nullptr, 0, fmt, shards, queries, shard_list.c_str(), corpus_map.c_str(),
       unknown_corpus_queries, epoch_map.c_str(), refits, lazy_fits,
-      epoch_invalidations, streams, shed_queries, rebalanced_queries, hot_keys,
-      cache_lookups, cache_hits, cache_hit_rate, worker_restarts, failovers, retries,
-      timeouts, degraded_queries, eval_exceptions, faults_injected,
-      health_list.c_str(), batches, size_flushes, deadline_flushes, kick_flushes,
-      close_flushes, max_queue_depth, queue_wait_json.c_str(), service_json.c_str(),
-      e2e_json.c_str(), p50_latency_ms, p99_latency_ms);
+      epoch_invalidations, streams, shed_queries, cache_lookups, cache_hits,
+      cache_hit_rate, worker_restarts, failovers, retries, timeouts, degraded_queries,
+      eval_exceptions, faults_injected, health_list.c_str(), batches, size_flushes,
+      deadline_flushes, kick_flushes, close_flushes, max_queue_depth,
+      queue_wait_json.c_str(), service_json.c_str(), e2e_json.c_str(), p50_latency_ms,
+      p99_latency_ms);
   std::string line(static_cast<std::size_t>(len > 0 ? len : 0), '\0');
   std::snprintf(&line[0], line.size() + 1, fmt, shards, queries, shard_list.c_str(),
                 corpus_map.c_str(), unknown_corpus_queries, epoch_map.c_str(), refits,
-                lazy_fits, epoch_invalidations, streams, shed_queries,
-                rebalanced_queries, hot_keys, cache_lookups, cache_hits, cache_hit_rate,
-                worker_restarts, failovers, retries, timeouts, degraded_queries,
-                eval_exceptions, faults_injected, health_list.c_str(), batches,
-                size_flushes, deadline_flushes, kick_flushes, close_flushes,
-                max_queue_depth, queue_wait_json.c_str(), service_json.c_str(),
+                lazy_fits, epoch_invalidations, streams, shed_queries, cache_lookups,
+                cache_hits, cache_hit_rate, worker_restarts, failovers, retries,
+                timeouts, degraded_queries, eval_exceptions, faults_injected,
+                health_list.c_str(), batches, size_flushes, deadline_flushes,
+                kick_flushes, close_flushes, max_queue_depth, queue_wait_json.c_str(), service_json.c_str(),
                 e2e_json.c_str(), p50_latency_ms, p99_latency_ms);
   return line;
 }

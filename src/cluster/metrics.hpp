@@ -28,10 +28,12 @@ double percentile(std::vector<double> samples, double p);
 std::vector<double> percentiles(std::vector<double>& samples,
                                 const std::vector<double>& ps);
 
+// "shards" counts the workers draining the cluster's one queue; the
+// per-shard fields below are per worker.
 struct ClusterMetrics {
   int shards = 0;
   long queries = 0;                 // total requests answered (hits included)
-  std::vector<long> shard_queries;  // evaluated per shard (cache misses)
+  std::vector<long> shard_queries;  // evaluated per worker (cache misses)
 
   // Per-resident-corpus request counts (hits and error slots included), in
   // cluster-config order; the default corpus reports as "default". Requests
@@ -56,24 +58,19 @@ struct ClusterMetrics {
   long streams = 0;
   long shed_queries = 0;
 
-  // Hot-key rebalancing: requests routed off their home shard through
-  // rendezvous sub-keys, and keys currently above the imbalance threshold.
-  long rebalanced_queries = 0;
-  int hot_keys = 0;
-
   long cache_lookups = 0;
   long cache_hits = 0;
   double cache_hit_rate = 0.0;  // hits / lookups; 0 when the cache is off
 
-  // Fault tolerance: crashed workers restarted by the watchdog, requests
-  // rerouted off a failed/down shard, re-drives after transient failures,
+  // Fault tolerance: crashed workers restarted by the watchdog, failed
+  // requests put back onto the queue, re-drives after transient failures,
   // re-drives abandoned because the request deadline had passed, and
   // explicit degraded responses delivered ("degraded":true on the wire —
   // retry budget spent, timeout, failed corpus fit, or shutdown race).
   // eval_exceptions counts evaluations that threw and were answered with
   // an in-slot error; faults_injected is the injector's firing total (0
-  // whenever ISR_FAULT_SEED is unset). shard_health snapshots each shard's
-  // state, "healthy" / "degraded" / "down", in shard order.
+  // whenever ISR_FAULT_SEED is unset). shard_health snapshots each worker's
+  // state, "healthy" / "degraded" / "down", in worker order.
   long worker_restarts = 0;
   long failovers = 0;
   long retries = 0;
@@ -83,20 +80,20 @@ struct ClusterMetrics {
   long faults_injected = 0;
   std::vector<std::string> shard_health;
 
-  long batches = 0;  // coalesced batches drained across all shards
+  long batches = 0;  // coalesced batches drained across all workers
   long size_flushes = 0;      // batch reached the configured batch size
   long deadline_flushes = 0;  // coalescing deadline fired first
   long kick_flushes = 0;      // a closing stream flushed a partial batch
   long close_flushes = 0;     // queue shutdown drained a partial batch
-  std::size_t max_queue_depth = 0;  // deepest any shard queue ever was
+  std::size_t max_queue_depth = 0;  // deepest the queue ever was
 
   // Per-stage latency histograms (microseconds, log2 buckets, bounded
   // memory — see obs/histogram.hpp), cumulative since cluster start:
   //   queue_wait  enqueue -> popped into a batch by a worker
   //   service     one request's evaluation inside the drained batch
   //   e2e         enqueue -> response slot written (cache hits and shed
-  //               requests never enter a shard queue and are not counted)
-  // The queue_wait histogram's shard-local EWMA also feeds admission's
+  //               requests never enter the queue and are not counted)
+  // An EWMA of the measured queue wait also feeds live admission's
   // completion estimate (cluster.cpp), so shedding reflects measured
   // stage time.
   obs::LatencyHistogram queue_wait;

@@ -15,15 +15,15 @@ const char* shard_health_name(ShardHealth health) {
   return "?";
 }
 
-Shard::Shard(int index, std::size_t queue_capacity, std::size_t batch_size,
-             std::chrono::nanoseconds batch_deadline, double initial_service_us)
+Shard::Shard(int index, WorkQueue& queue, std::size_t batch_size,
+             std::chrono::nanoseconds batch_deadline, LoadEstimates& estimates)
     : index_(index),
       batch_size_(batch_size > 0 ? batch_size : 1),
       batch_deadline_(batch_deadline),
-      queue_(queue_capacity),
-      service_estimate_us_(initial_service_us > 0.0 ? initial_service_us : 1.0) {}
+      queue_(queue),
+      estimates_(estimates) {}
 
-Shard::~Shard() { stop(); }
+Shard::~Shard() { join(); }
 
 void Shard::start(ResponseCache* cache, core::FaultInjector* faults,
                   FailureHandler on_failed, obs::TraceRecorder* trace) {
@@ -35,9 +35,13 @@ void Shard::start(ResponseCache* cache, core::FaultInjector* faults,
   worker_ = std::thread([this] { worker_loop(); });
 }
 
-void Shard::stop() {
-  queue_.close();
+void Shard::join() {
   if (worker_.joinable()) worker_.join();
+}
+
+void Shard::update_ewma(std::atomic<double>& estimate, double measured_us) {
+  const double old = estimate.load(std::memory_order_relaxed);
+  estimate.store(0.8 * old + 0.2 * measured_us, std::memory_order_relaxed);
 }
 
 void Shard::worker_loop() {
@@ -204,10 +208,7 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
     }
   }
 
-  {
-    const double old = service_estimate_us_.load(std::memory_order_relaxed);
-    service_estimate_us_.store(0.8 * old + 0.2 * per_item_us, std::memory_order_relaxed);
-  }
+  update_ewma(estimates_.service_us, per_item_us);
 
   const auto item_wait_us = [&pop_now](const StreamItem& item) {
     const double wait =
@@ -236,12 +237,7 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
           std::chrono::duration<double, std::micro>(eval_done - batch[i].enqueued).count());
     }
   }
-  {
-    const double measured_wait_us = wait_us_sum / static_cast<double>(n);
-    const double old = queue_wait_estimate_us_.load(std::memory_order_relaxed);
-    queue_wait_estimate_us_.store(0.8 * old + 0.2 * measured_wait_us,
-                                  std::memory_order_relaxed);
-  }
+  update_ewma(estimates_.queue_wait_us, wait_us_sum / static_cast<double>(n));
 
   // Delivery, grouped by session: a run of consecutive items from one
   // stream (the common shape — serve_batch is one stream) lands under a
@@ -279,8 +275,9 @@ Shard::DrainStatus Shard::drain_chaos_batch(std::vector<StreamItem>& batch,
 
   // Injected stall, keyed on the batch head's identity: the worker sleeps
   // mid-drain with work parked, the heartbeat goes stale, and the watchdog
-  // marks the shard degraded. Purely a liveness disturbance — every item
-  // still evaluates to its normal bytes afterwards.
+  // marks it degraded. Purely a liveness disturbance — every item still
+  // evaluates to its normal bytes afterwards, and the other workers keep
+  // draining the shared queue meanwhile.
   if (faults_ &&
       faults_->should_fire(core::FaultSite::kQueueStall, batch.front().session->id(),
                            batch.front().slot,
@@ -355,15 +352,10 @@ Shard::DrainStatus Shard::drain_chaos_batch(std::vector<StreamItem>& batch,
     return wait < 0.0 ? 0.0 : wait;
   };
 
-  if (evaluated > 0) {
-    // Feed the live shed estimator: EWMA of measured microseconds per
-    // request. Relaxed read-modify-write — concurrent metrics readers see a
-    // slightly stale estimate at worst.
-    const double measured_us = eval_us_sum / static_cast<double>(evaluated);
-    const double old = service_estimate_us_.load(std::memory_order_relaxed);
-    service_estimate_us_.store(0.8 * old + 0.2 * measured_us,
-                               std::memory_order_relaxed);
-  }
+  // Feed the live shed estimator: EWMA of measured microseconds per
+  // request.
+  if (evaluated > 0)
+    update_ewma(estimates_.service_us, eval_us_sum / static_cast<double>(evaluated));
   // Account the batch BEFORE delivering: the final delivery may wake a
   // close()d session whose client immediately reads metrics(), and the
   // flush that carried its responses must already be counted. Only
@@ -389,15 +381,10 @@ Shard::DrainStatus Shard::drain_chaos_batch(std::vector<StreamItem>& batch,
                          .count());
     }
   }
-  {
-    // EWMA over measured queue wait: admission adds this to its backlog
-    // estimate so shedding reflects the stage the request is actually
-    // about to pay, not an end-to-end guess.
-    const double measured_wait_us = wait_us_sum / static_cast<double>(batch.size());
-    const double old = queue_wait_estimate_us_.load(std::memory_order_relaxed);
-    queue_wait_estimate_us_.store(0.8 * old + 0.2 * measured_wait_us,
-                                  std::memory_order_relaxed);
-  }
+  // EWMA over measured queue wait: live admission adds this to its backlog
+  // estimate so shedding reflects the stage the request is actually about
+  // to pay, not an end-to-end guess.
+  update_ewma(estimates_.queue_wait_us, wait_us_sum / static_cast<double>(batch.size()));
 
   if (tracing) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -486,7 +473,7 @@ bool Shard::has_inflight() const {
 
 void Shard::restart() {
   // The crashed thread has already returned from worker_loop; join reclaims
-  // it immediately. A fresh worker resumes over the same queue and wiring.
+  // it immediately. A fresh worker resumes pulling with the same wiring.
   if (worker_.joinable()) worker_.join();
   crashed_.store(false, std::memory_order_release);
   worker_ = std::thread([this] { worker_loop(); });

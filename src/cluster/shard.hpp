@@ -1,22 +1,22 @@
-// One serving shard: a bounded core::OrderedBatchQueue the cluster's
-// admission path pushes StreamItems into, drained by a dedicated SUPERVISED
-// worker thread the shard owns (start()/stop()). Since the recalibration
-// PR, shards hold NO model state of their own: every StreamItem carries a
-// shared_ptr pin of the bundle it was admitted under plus its corpus's
-// mapping constants, so any shard can evaluate any item — placement,
-// failover, and even a mid-flight recalibration swap can never change the
-// bytes a request answers. The worker drains coalesced batches — flushed
-// on batch size, on the coalescing deadline, on a kick (a closing stream
-// flushing its in-flight tail), or on shutdown — in strict-priority/EDF
-// order and evaluates each batch through serve::answer_batch, grouped by
-// pinned (bundle, constants) pair, but an evaluation that throws becomes an
-// in-slot error
+// One serving worker ("shard" in the metrics and on the CLI, --shards N):
+// a dedicated SUPERVISED thread that pulls coalesced batches from the
+// cluster's one shared core::OrderedBatchQueue. A Shard owns no queue and
+// no model state: every StreamItem carries a shared_ptr pin of the bundle
+// it was admitted under plus its corpus's mapping constants, so any worker
+// can evaluate any item — which worker pulled it, a re-drive after a
+// failure, even a mid-flight recalibration swap can never change the
+// bytes a request answers. Batches flush on batch size, on the coalescing
+// deadline, on a kick (a closing stream flushing its in-flight tail), or
+// on shutdown, in strict-priority/EDF order across the whole cluster, and
+// evaluate through serve::answer_batch grouped by pinned (bundle,
+// constants) pair. An evaluation that throws becomes an in-slot error
 // response (never a dead thread), an injected transient failure hands the
-// item to the cluster's failure handler for retry/failover, and a
-// (simulated) worker crash parks the undelivered batch in an in-flight
-// ledger the heartbeat watchdog re-drives after restart() — which is what
-// makes StreamSession::close() un-hangable: every admitted item is always
-// delivered by SOMEONE.
+// item to the cluster's failure handler for a re-drive, and a (simulated)
+// worker crash parks the undelivered batch in an in-flight ledger the
+// heartbeat watchdog re-drives after restart() — which is what makes
+// StreamSession::close() un-hangable: every admitted item is always
+// delivered by SOMEONE. A dead or stalled worker simply stops pulling; the
+// others keep draining the queue.
 #pragma once
 
 #include <atomic>
@@ -39,24 +39,36 @@ namespace isr::cluster {
 
 class ResponseCache;
 
-// Per-shard health as the router/admission path sees it:
+// Per-worker health as the watchdog reports it:
 //   healthy  — worker alive, heartbeat advancing, no recent failures.
 //   degraded — alive but suspect: freshly restarted, stalled mid-drain,
-//              or a recent transient failure; still routable.
-//   down     — worker crashed and not yet restarted; admission and
-//              failover route around it.
+//              or a recent transient failure.
+//   down     — worker crashed and not yet restarted (it pulls nothing).
 enum class ShardHealth : int { kHealthy = 0, kDegraded = 1, kDown = 2 };
 const char* shard_health_name(ShardHealth health);
 
+// The queue every admitter pushes into and every worker pulls from.
+using WorkQueue = core::OrderedBatchQueue<StreamItem, StreamBefore>;
+
 // Items the worker could not answer in place (injected transient
-// failures): the cluster's handler retries them against the next shard in
-// their key's rendezvous order, or degrades them once the retry budget is
-// spent. `from_shard` is the shard that failed them.
+// failures): the cluster's handler re-drives them onto the shared queue,
+// or degrades them once the retry budget is spent. `from_shard` is the
+// worker that failed them.
 using FailureHandler = std::function<void(std::vector<StreamItem>&&, int from_shard)>;
 
-// Per-shard counters, merged into ClusterMetrics by the cluster.
+// The live shed estimator's two measured inputs, shared by every worker:
+// EWMAs of per-request evaluation cost and of enqueue->pop queue wait, in
+// microseconds. Relaxed atomics — a lost update skews an estimate, never a
+// response.
+struct LoadEstimates {
+  explicit LoadEstimates(double initial_service_us) : service_us(initial_service_us) {}
+  std::atomic<double> service_us;
+  std::atomic<double> queue_wait_us{0.0};
+};
+
+// Per-worker counters, merged into ClusterMetrics by the cluster.
 struct ShardStats {
-  long queries = 0;  // requests this shard evaluated AND delivered
+  long queries = 0;  // requests this worker evaluated AND delivered
   long batches = 0;
   long size_flushes = 0;
   long deadline_flushes = 0;
@@ -67,13 +79,12 @@ struct ShardStats {
 
 class Shard {
  public:
-  Shard(int index, std::size_t queue_capacity, std::size_t batch_size,
-        std::chrono::nanoseconds batch_deadline, double initial_service_us);
-  // Joins the worker if the owner forgot stop(); sessions are closed by
-  // then per the cluster contract, so nothing can be in flight.
+  // `queue` and `estimates` are the cluster's and outlive the worker.
+  Shard(int index, WorkQueue& queue, std::size_t batch_size,
+        std::chrono::nanoseconds batch_deadline, LoadEstimates& estimates);
+  // Joins the worker if the owner forgot join(); the owner closes the
+  // queue first, so the worker is already on its way out.
   ~Shard();
-
-  int index() const { return index_; }
 
   // Starts the dedicated worker thread. `faults` (nullable) injects the
   // deterministic chaos schedule; `on_failed` (nullable) receives items
@@ -83,31 +94,15 @@ class Shard {
   // at admission instead). Call once.
   void start(ResponseCache* cache, core::FaultInjector* faults, FailureHandler on_failed,
              obs::TraceRecorder* trace = nullptr);
-  // Closes the queue (shutdown()) and joins the worker — including a
-  // crashed one the watchdog never got to.
-  void stop();
-
-  // Admission: blocking bounded push (admitters are client threads; the
-  // cluster sheds at admission time, so a full queue means "wait", never
-  // "help drain"). Returns false only after shutdown — the caller must
-  // then answer the item itself (deliver an error), or close() would hang.
-  // kick() flushes the current partial batch to the worker — a closing
-  // stream's in-flight tail must not wait out the coalescing deadline.
-  bool enqueue(StreamItem&& item) { return queue_.push(std::move(item)); }
-  // Non-blocking variant for the failover path: workers and the watchdog
-  // re-drive items with this (falling back to inline evaluation on a full
-  // queue), because a blocking push from a worker into a sibling's full
-  // queue could deadlock two shards against each other.
-  bool try_enqueue(StreamItem&& item) { return queue_.try_push(std::move(item)); }
-  void kick() { queue_.kick(); }
-  // No more admissions, ever: the worker drains what remains and stops.
-  void shutdown() { queue_.close(); }
+  // Joins the worker — including a crashed one the watchdog never got to.
+  // Call after closing the queue.
+  void join();
 
   // The pure per-item evaluation (serve::answer_request against the item's
   // pinned bundle and constants), exceptions converted to in-slot error
-  // responses. Public so the cluster's failover path can evaluate inline
-  // when every queue route is saturated — the response is a pure function
-  // of (request, pinned bundle), so WHO evaluates never changes the bytes.
+  // responses. Public so the cluster's re-drive path can evaluate inline
+  // when the shared queue is full — the response is a pure function of
+  // (request, pinned bundle), so WHO evaluates never changes the bytes.
   serve::AdvisorResponse evaluate(const StreamItem& item);
 
   // --- Supervision surface (the cluster's heartbeat watchdog) -----------
@@ -127,23 +122,9 @@ class Shard {
   // Only meaningful after worker_down(); counts are the caller's job.
   void restart();
 
-  // Live shed accounting reads these: EWMAs of measured per-request
-  // evaluation cost and of measured enqueue->pop queue wait, both in
-  // microseconds. Relaxed atomics — a lost update skews an estimate,
-  // never a response.
-  double service_estimate_us() const {
-    return service_estimate_us_.load(std::memory_order_relaxed);
-  }
-  double queue_wait_estimate_us() const {
-    return queue_wait_estimate_us_.load(std::memory_order_relaxed);
-  }
-
-  // Metrics accessors (safe during live streams: stats under a mutex, the
-  // queue under its own lock).
+  // Metrics accessors (safe during live streams: stats under a mutex).
   ShardStats stats() const;
-  std::size_t max_queue_depth() const { return queue_.max_depth(); }
-  std::size_t queue_depth() const { return queue_.depth(); }
-  // Adds this shard's cumulative stage histograms (bounded memory, never
+  // Adds this worker's cumulative stage histograms (bounded memory, never
   // drained) into the cluster-wide roll-ups.
   void merge_stage_histograms(obs::LatencyHistogram& queue_wait,
                               obs::LatencyHistogram& service,
@@ -172,12 +153,14 @@ class Shard {
   void evaluate_batch(std::vector<StreamItem>& batch,
                       std::vector<serve::AdvisorResponse>& responses);
 
+  // Folds one batch's measured per-item mean into an estimate.
+  static void update_ewma(std::atomic<double>& estimate, double measured_us);
+
   int index_;
   std::size_t batch_size_;
   std::chrono::nanoseconds batch_deadline_;
-  core::OrderedBatchQueue<StreamItem, StreamBefore> queue_;
-  std::atomic<double> service_estimate_us_;
-  std::atomic<double> queue_wait_estimate_us_{0.0};
+  WorkQueue& queue_;
+  LoadEstimates& estimates_;
 
   // Wiring fixed by start() before the worker exists; restart() reuses it.
   ResponseCache* cache_ = nullptr;

@@ -1,6 +1,6 @@
 // Streaming-admission building blocks for the serving cluster: the
 // per-session completion state a StreamSession handle wraps, the unit of
-// work shard queues carry, the total order those queues serve in, and the
+// work the cluster's queue carries, the total order it serves in, and the
 // recorded admission schedule that makes a concurrent run replayable.
 //
 // Determinism under concurrency, in two halves:
@@ -54,8 +54,8 @@ void save_schedule(const AdmissionSchedule& schedule, std::ostream& out);
 bool load_schedule(std::istream& in, AdmissionSchedule& schedule, std::string& error);
 
 // Completion state shared between a StreamSession handle, the cluster's
-// admission path, and the shard workers. Responses land in per-stream
-// submission order (slot = seq), no matter which shard answered or when.
+// admission path, and the workers. Responses land in per-stream
+// submission order (slot = seq), no matter which worker answered or when.
 // Lifetime: in-flight StreamItems hold a shared_ptr, so a session's state
 // outlives early handle destruction — but never the cluster itself (close
 // every session before destroying the cluster).
@@ -72,10 +72,10 @@ class SessionState {
 
   // Writes one response into its slot and wakes a drain waiter when it was
   // the last one owed. Called by admission (cache hits, unknown-corpus
-  // errors, shed refusals) and by shard workers (evaluated responses).
+  // errors, shed refusals) and by workers (evaluated responses).
   void deliver(std::size_t slot, serve::AdvisorResponse&& response);
 
-  // Batched delivery for a shard's fast-lane drain: one lock acquisition
+  // Batched delivery for a worker's fast-lane drain: one lock acquisition
   // for a run of responses all landing in this session (responses[i] moves
   // into slots[i]). Identical outcome to `count` deliver() calls — slots
   // address the writes, so delivery grouping can never reorder a stream.
@@ -95,14 +95,13 @@ class SessionState {
   bool closed_ = false;
 };
 
-// The unit of work a shard queue carries: the request, its resolved
-// replica, where its response goes, and the scheduling key (priority,
+// The unit of work the cluster's queue carries: the request, its resolved
+// corpus, where its response goes, and the scheduling key (priority,
 // absolute virtual deadline, global admission sequence).
 struct StreamItem {
   serve::AdvisorRequest request;
-  std::uint64_t corpus_key = 0;  // resident replica the request resolved to
   // The bundle this request was ADMITTED under, pinned here so evaluation —
-  // on any shard, after any failover, before or after a recalibration swap —
+  // on any worker, after any re-drive, before or after a recalibration swap —
   // reads exactly the epoch admission saw. Shared ownership keeps a
   // superseded bundle alive until its last in-flight request delivers.
   serve::BundlePtr bundle;

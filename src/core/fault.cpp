@@ -10,7 +10,7 @@ namespace isr::core {
 namespace {
 
 // Domain-separation salt: fault decisions must not correlate with any
-// other hash_seed consumer (study jitter, router rings) sharing a seed.
+// other hash_seed consumer (study jitter, drift-study seeds) sharing a seed.
 constexpr std::uint64_t kFaultSalt = 0xFA171E57ull;
 
 }  // namespace

@@ -3,14 +3,14 @@
 // ordered queue's shutdown edges (close must release blocked producers and
 // parked consumers), and the cluster's chaos behavior — supervised workers
 // that survive injected eval throws, watchdog-driven crash restarts that
-// re-drive the held batch, failover along the rendezvous order, bounded
+// re-drive the held batch, re-drives onto the shared queue, bounded
 // retries that end in explicit degraded responses, fit failures served
-// degraded instead of crashing boot, and the determinism contract: a fixed
+// degraded instead of crashing boot, a stalled worker that holds up no one
+// else's work, and the determinism contract: a fixed
 // fault seed reproduces the same degraded bytes on a fresh cluster, and a
 // disarmed injector leaves every byte identical to a fault-free build.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -21,7 +21,6 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/metrics.hpp"
-#include "cluster/router.hpp"
 #include "cluster/stream.hpp"
 #include "core/batch_queue.hpp"
 #include "core/fault.hpp"
@@ -224,22 +223,6 @@ TEST(OrderedQueueShutdownTest, CloseWakesAConsumerParkedOnAnEmptyQueue) {
   EXPECT_LT(elapsed, 5.0);  // never waited out the deadline
 }
 
-// --- Router failover order ---------------------------------------------------
-
-TEST(RouterFailoverTest, RendezvousOrderIsAStablePermutationOfAllShards) {
-  const Router router(5);
-  const std::vector<int> order = router.rendezvous_order(0xC0FFEEull, "CPU1");
-  ASSERT_EQ(order.size(), 5u);
-  std::vector<int> sorted = order;
-  std::sort(sorted.begin(), sorted.end());
-  for (int s = 0; s < 5; ++s) EXPECT_EQ(sorted[static_cast<std::size_t>(s)], s);
-
-  // Stable across calls (failover placement must not wander) and key-
-  // dependent (different keys spread over different permutations).
-  EXPECT_EQ(router.rendezvous_order(0xC0FFEEull, "CPU1"), order);
-  EXPECT_NE(router.rendezvous_order(0xBEEFull, "GPU1"), order);
-}
-
 // --- Chaos over a live cluster ----------------------------------------------
 
 // Clusters share one primary registry so the whole suite pays for a single
@@ -316,8 +299,8 @@ std::shared_ptr<serve::ModelRegistry> FaultClusterFixture::primary_;
 
 TEST_F(FaultClusterFixture, EvalThrowAtFullRateDegradesEveryRequestAfterBoundedRetries) {
   // Rate 1.0 on eval-throw: every attempt of every request fails, so each
-  // walks the full retry ladder — attempt 0 on its home shard, failover
-  // re-drives at attempts 1 and 2, then an explicit degraded response. The
+  // walks the full retry ladder — attempt 0, re-drives onto the shared
+  // queue at attempts 1 and 2, then an explicit degraded response. The
   // workers must survive it all (a supervised throw is not a crash).
   constexpr int kRequests = 10;
   ServingCluster cluster(
@@ -337,7 +320,7 @@ TEST_F(FaultClusterFixture, EvalThrowAtFullRateDegradesEveryRequestAfterBoundedR
   const ClusterMetrics m = cluster.metrics();
   EXPECT_EQ(m.degraded_queries, kRequests);
   // Deterministic accounting at rate 1.0: retry_limit (2) re-drives per
-  // request, each a successful failover enqueue, and 3 injected throws.
+  // request, each a successful re-enqueue, and 3 injected throws.
   EXPECT_EQ(m.retries, 2 * kRequests);
   EXPECT_EQ(m.failovers, 2 * kRequests);
   EXPECT_EQ(m.faults_injected, 3 * kRequests);
@@ -357,11 +340,11 @@ TEST_F(FaultClusterFixture, EvalThrowAtFullRateDegradesEveryRequestAfterBoundedR
 TEST_F(FaultClusterFixture, WorkerCrashIsRestartedAndTheHeldBatchIsRedriven) {
   // Rate 0.5 on worker-crash, single shard: roughly every other request
   // kills the worker mid-batch. The watchdog must reclaim the corpse,
-  // restart the worker, and re-drive the held batch — with no sibling
-  // shard to fail over to, the re-drive walks the fault ladder inline, so
-  // a request whose attempts don't all fire is answered with its normal
-  // pure bytes, and one whose three attempts all fire (hash odds ~12.5%)
-  // degrades explicitly. Every slot gets exactly one of the two.
+  // restart the worker, and re-drive the held batch onto the queue the
+  // restarted worker drains, so a request whose attempts don't all fire is
+  // answered with its normal pure bytes, and one whose three attempts all
+  // fire (hash odds ~12.5%) degrades explicitly. Every slot gets exactly
+  // one of the two.
   constexpr int kRequests = 12;
   const std::vector<AdvisorRequest> requests = workload(kRequests);
 
@@ -475,6 +458,70 @@ TEST_F(FaultClusterFixture, FitFailureServesExplicitDegradedResponsesInsteadOfCr
   }
   EXPECT_EQ(cluster.registry_fits(), 0);  // the fit never landed anywhere
   EXPECT_EQ(cluster.metrics().degraded_queries, 3);
+}
+
+TEST_F(FaultClusterFixture, StalledWorkerDoesNotHoldUpQueuedWork) {
+  // Two workers, one-item batches, and a multi-second stall on exactly the
+  // first request: its worker sleeps while holding it, and the other
+  // worker must drain everything else from the shared queue long before
+  // the stall ends. (With a queue per worker, requests placed behind the
+  // stalled one would wait out the whole stall.)
+  constexpr int kRequests = 16;
+  constexpr long kStallMs = 3000;
+  const std::vector<AdvisorRequest> requests = workload(kRequests);
+
+  ServingCluster plain(chaos_config(2, 0, 1.0, 0), primary_);  // disarmed twin
+  const std::vector<AdvisorResponse> expected = run_serial(plain, requests);
+
+  // A fresh cluster's first session is stream 0, and a one-item batch's
+  // head is the item itself: pick the seed whose stall schedule names
+  // slot 0 and no other slot.
+  FaultConfig fault;
+  fault.rate = 0.25;
+  fault.sites = site_mask(FaultSite::kQueueStall);
+  std::uint64_t seed = 0;
+  for (std::uint64_t candidate = 1; candidate < 100000 && seed == 0; ++candidate) {
+    fault.seed = candidate;
+    FaultInjector probe(fault);
+    bool only_first = probe.should_fire(FaultSite::kQueueStall, 0, 0, 0);
+    for (int j = 1; j < kRequests && only_first; ++j)
+      only_first = !probe.should_fire(FaultSite::kQueueStall, 0,
+                                      static_cast<std::uint64_t>(j), 0);
+    if (only_first) seed = candidate;
+  }
+  ASSERT_NE(seed, 0u);
+
+  ClusterConfig config = chaos_config(2, seed, fault.rate, fault.sites);
+  config.batch_size = 1;
+  config.fault.stall_ms = kStallMs;
+  ServingCluster cluster(std::move(config), primary_);
+  StreamSession session = cluster.open_stream();
+  ASSERT_EQ(session.id(), 0u);
+  const auto start = std::chrono::steady_clock::now();
+  for (const AdvisorRequest& req : requests) session.submit(req);
+  // Every request but the stalled one is evaluated (and counted) by the
+  // other worker while the stall is still running.
+  const auto others_done = [&cluster] {
+    long evaluated = 0;
+    for (const long q : cluster.metrics().shard_queries) evaluated += q;
+    return evaluated >= kRequests - 1;
+  };
+  while (!others_done() &&
+         std::chrono::steady_clock::now() - start < std::chrono::milliseconds(kStallMs))
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const double others_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_TRUE(others_done());
+  EXPECT_LT(others_ms, kStallMs / 2.0);
+
+  const std::vector<AdvisorResponse> responses = session.close();
+  ASSERT_EQ(responses.size(), expected.size());
+  for (std::size_t i = 0; i < responses.size(); ++i)
+    EXPECT_EQ(serve::to_jsonl(expected[i]), serve::to_jsonl(responses[i])) << "slot " << i;
+  const ClusterMetrics m = cluster.metrics();
+  EXPECT_EQ(m.faults_injected, 1);
+  EXPECT_EQ(m.degraded_queries, 0);
 }
 
 TEST_F(FaultClusterFixture, QueueStallIsSurvivedWithNormalResponses) {

@@ -1,6 +1,7 @@
-// Tests for the streaming admission pipeline: the ordered shard queue's
+// Tests for the streaming admission pipeline: the ordered queue's
 // scheduling order (strict priority, EDF within a class, admission-order
-// tiebreak), blocking bounded admission, kick flushes, session lifecycle
+// tiebreak), blocking bounded admission, kick flushes, several consumers
+// draining one queue, session lifecycle
 // (close flushes in-flight requests; submit-after-close throws), replay-
 // mode byte-identity under concurrent producers, deterministic shedding
 // under a replayed 2x overload, metrics readability during live streams,
@@ -126,6 +127,53 @@ TEST(OrderedQueueTest, BlockingPushWaitsForRoomAndFailsOnClose) {
 
   queue.close();
   EXPECT_FALSE(queue.push(keyed_item(1, 40, 3)));  // closed: refused, loudly
+}
+
+TEST(OrderedQueueTest, OneConsumersCoalescingWindowNeverHidesWorkFromAnother) {
+  // Consumer A waits out a long coalescing window for a 64-item batch while
+  // consumer B, wanting single items, parks on the empty queue. A push must
+  // reach B: A's window may neither silence the wake-up nor absorb it.
+  // Repeated (ISR_STRESS_ITERS): a lost wake-up here depends on which
+  // parked consumer a notify happens to reach.
+  const int iters = static_cast<int>(core::env_long("ISR_STRESS_ITERS", 3));
+  for (int iter = 0; iter < iters; ++iter) {
+    SCOPED_TRACE("iteration " + std::to_string(iter));
+    core::OrderedBatchQueue<StreamItem, StreamBefore> queue(128);
+    ASSERT_TRUE(queue.try_push(keyed_item(1, 10, 0)));
+    std::thread coalescer([&queue] {
+      std::vector<StreamItem> batch;
+      // Ends at close(), well before its 10-second window.
+      queue.pop_batch(64, std::chrono::seconds(10), batch);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // A coalesces
+
+    std::vector<StreamItem> first;
+    ASSERT_EQ(queue.pop_batch(1, std::chrono::seconds(10), first), core::BatchFlush::kSize);
+    ASSERT_EQ(first.size(), 1u);
+
+    std::atomic<bool> popped{false};
+    std::vector<StreamItem> second;
+    std::thread consumer([&queue, &popped, &second] {
+      queue.pop_batch(1, std::chrono::seconds(10), second);  // parks: queue empty
+      popped.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // B parks
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(queue.try_push(keyed_item(1, 20, 1)));
+    while (!popped.load() &&
+           std::chrono::steady_clock::now() - start < std::chrono::seconds(5))
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const double waited =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    EXPECT_TRUE(popped.load());
+    EXPECT_LT(waited, 2.0);  // never waited out A's 10-second window
+
+    queue.close();
+    consumer.join();
+    coalescer.join();
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_EQ(second[0].admit_seq, 1u);
+  }
 }
 
 // --- Admission schedules ----------------------------------------------------
