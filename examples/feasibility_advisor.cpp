@@ -59,10 +59,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
+#include <istream>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "obs/trace.hpp"
 
@@ -71,6 +74,7 @@
 #include "cluster/cluster.hpp"
 #include "core/env.hpp"
 #include "core/fault.hpp"
+#include "core/fd_stream.hpp"
 #include "serve/advisor.hpp"
 #include "serve/jsonl.hpp"
 
@@ -79,10 +83,11 @@ using model::RendererKind;
 
 namespace {
 
-// SIGINT/SIGTERM land here: remember which signal fired so the main loop's
-// blocked getline fails with EINTR (sigaction below installs the handler
-// WITHOUT SA_RESTART on purpose), run_jsonl returns, and the normal
-// metrics/trace flush path runs before exiting 128+signal.
+// SIGINT/SIGTERM land here: remember which signal fired. sigaction below
+// installs the handler WITHOUT SA_RESTART on purpose, so the fd reader's
+// blocked read(2) fails with EINTR, which core::FdInBuf reports as end of
+// input; run_jsonl returns, and the normal metrics/trace flush path runs
+// before exiting 128+signal.
 volatile std::sig_atomic_t g_signal = 0;
 extern "C" void on_terminate_signal(int sig) { g_signal = sig; }
 
@@ -439,7 +444,8 @@ int main(int argc, char** argv) {
     };
     // Interrupting the service must still report: install SIGINT/SIGTERM
     // handlers WITHOUT SA_RESTART so a blocked stdin read fails with EINTR,
-    // run_jsonl returns, and the flush path below runs as on EOF.
+    // which the fd reader treats as EOF: run_jsonl returns, and the flush
+    // path below runs as on EOF.
     struct sigaction sa;
     std::memset(&sa, 0, sizeof(sa));
     sa.sa_handler = on_terminate_signal;
@@ -447,8 +453,13 @@ int main(int argc, char** argv) {
     sa.sa_flags = 0;
     sigaction(SIGINT, &sa, nullptr);
     sigaction(SIGTERM, &sa, nullptr);
+    // stdin/stdout as raw fds, not std::cin/std::cout (see core/fd_stream.hpp).
+    core::FdInBuf stdin_buf(STDIN_FILENO);
+    core::FdOutBuf stdout_buf(STDOUT_FILENO);
+    std::istream requests_in(&stdin_buf);
+    std::ostream responses_out(&stdout_buf);
     serve::run_jsonl(
-        std::cin, std::cout,
+        requests_in, responses_out,
         [&serving, n_streams_flag, deadline_us, &maybe_recalibrate,
          &maybe_emit_metrics](const std::vector<serve::AdvisorRequest>& requests) {
           std::vector<serve::AdvisorRequest> reqs = requests;

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/arena.hpp"
@@ -142,13 +143,13 @@ AdvisorResponse answer_request(const FittedModels& fitted,
                                const AdvisorRequest& request);
 
 // One response as a JSON line (no trailing newline). Fixed field order and
-// printf-formatted numbers, so identical responses serialize to identical
-// bytes. Schema documented in docs/ARCHITECTURE.md.
+// "%.9g"-formatted numbers (std::to_chars), so identical responses
+// serialize to identical bytes. Schema documented in docs/ARCHITECTURE.md.
 std::string to_jsonl(const AdvisorResponse& response);
 
 // Zero-copy form: appends the line to a caller-owned reusable buffer (no
-// temporary string churn — an ok line is one snprintf into a stack buffer
-// plus one append). The allocating signature above delegates here; batch
+// temporary string churn — an ok line is built in a stack buffer and
+// appended once). The allocating signature above delegates here; batch
 // serializers reuse one buffer across a whole flush.
 void to_jsonl(const AdvisorResponse& response, std::string& out);
 
@@ -163,7 +164,7 @@ void json_escape(const std::string& s, std::string& out);
 // Renderer tokens used by the wire format: "raytrace" / "rasterize" /
 // "volume". renderer_from_token returns false on anything else.
 const char* renderer_token(model::RendererKind kind);
-bool renderer_from_token(const std::string& token, model::RendererKind& kind);
+bool renderer_from_token(std::string_view token, model::RendererKind& kind);
 
 struct ServiceConfig {
   // The calibration study the models are fitted from. The default is the

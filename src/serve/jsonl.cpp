@@ -11,15 +11,30 @@ namespace isr::serve {
 
 namespace {
 
+// The schema's ten keys; a parsed line's `seen` set is a bitmask over them.
+constexpr std::string_view kKeys[] = {"corpus", "arch", "renderer", "n_per_task", "tasks",
+                                      "image_edge", "budget_seconds", "frames",
+                                      "deadline_us", "priority"};
+enum Key { kCorpus, kArch, kRenderer, kNPerTask, kTasks, kImageEdge, kBudgetSeconds,
+           kFrames, kDeadlineUs, kPriority, kUnknownKey };
+
+Key key_index(std::string_view key) {
+  for (int k = 0; k < kUnknownKey; ++k)
+    if (kKeys[k] == key) return static_cast<Key>(k);
+  return kUnknownKey;
+}
+
 // A minimal scanner for the wire format: one flat JSON object per line,
 // values restricted to strings and numbers. Hand-rolled because
 // the repo takes no external dependencies and the schema is fixed — this
-// is a parser for ten known keys, not a JSON library.
+// is a parser for ten known keys, not a JSON library. It allocates nothing
+// on the common path: strings come back as views into the line.
 struct Scanner {
   const char* p;
   const char* end;
+  std::string scratch;  // decoded form of the current string, when it has escapes
 
-  explicit Scanner(const std::string& s) : p(s.data()), end(s.data() + s.size()) {}
+  explicit Scanner(std::string_view s) : p(s.data()), end(s.data() + s.size()) {}
 
   void skip_ws() {
     while (p < end && (*p == ' ' || *p == '\t' || *p == '\r')) ++p;
@@ -34,30 +49,38 @@ struct Scanner {
     return false;
   }
 
-  bool parse_string(std::string& out, std::string& error) {
+  // On success `out` views the line, or `scratch` when the string has
+  // escapes — valid until the next parse_string.
+  bool parse_string(std::string_view& out, std::string& error) {
     if (!eat('"')) {
       error = "expected string";
       return false;
     }
-    out.clear();
+    const char* start = p;
+    while (p < end && *p != '"' && *p != '\\') ++p;
+    if (p < end && *p == '"') {
+      out = std::string_view(start, static_cast<std::size_t>(p++ - start));
+      return true;
+    }
+    scratch.assign(start, p);
     while (p < end && *p != '"') {
       if (*p == '\\') {
         ++p;
         if (p >= end) break;
         switch (*p) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
+          case '"': scratch += '"'; break;
+          case '\\': scratch += '\\'; break;
+          case '/': scratch += '/'; break;
+          case 'b': scratch += '\b'; break;
+          case 'f': scratch += '\f'; break;
+          case 'n': scratch += '\n'; break;
+          case 'r': scratch += '\r'; break;
+          case 't': scratch += '\t'; break;
           default: error = "unsupported string escape"; return false;
         }
         ++p;
       } else {
-        out += *p++;
+        scratch += *p++;
       }
     }
     if (p >= end) {
@@ -65,6 +88,7 @@ struct Scanner {
       return false;
     }
     ++p;  // closing quote
+    out = scratch;
     return true;
   }
 
@@ -79,8 +103,15 @@ struct Scanner {
            (*p == '-' || *p == '+' || *p == '.' || (*p >= '0' && *p <= '9') ||
             (*p >= 'a' && *p <= 'z') || (*p >= 'A' && *p <= 'Z')))
       ++p;
-    const std::string token(start, p);
-    const core::ParseStatus status = core::parse_double(token.c_str(), out);
+    // strtod needs a terminated token: a stack copy, the heap only for
+    // tokens no real number spells.
+    const std::size_t len = static_cast<std::size_t>(p - start);
+    char small[64];
+    std::string large;
+    if (len < sizeof(small)) *std::copy(start, p, small) = '\0';
+    else large.assign(start, len);
+    const core::ParseStatus status =
+        core::parse_double(len < sizeof(small) ? small : large.c_str(), out);
     if (status == core::ParseStatus::kNotFinite) {
       error = "must be finite (NaN/Infinity and overflowing values are rejected)";
       return false;
@@ -93,14 +124,14 @@ struct Scanner {
   }
 };
 
-bool parse_int_value(Scanner& sc, const char* key, int& out, std::string& error) {
+bool parse_int_value(Scanner& sc, Key key, int& out, std::string& error) {
   double v = 0.0;
   if (!sc.parse_number(v, error)) {
-    error = std::string(key) + ": " + error;
+    error = std::string(kKeys[key]) + ": " + error;
     return false;
   }
   if (v != std::floor(v) || v < -2147483648.0 || v > 2147483647.0) {
-    error = std::string(key) + ": expected an integer";
+    error = std::string(kKeys[key]) + ": expected an integer";
     return false;
   }
   out = static_cast<int>(v);
@@ -109,7 +140,7 @@ bool parse_int_value(Scanner& sc, const char* key, int& out, std::string& error)
 
 }  // namespace
 
-bool parse_request_line(const std::string& line, AdvisorRequest& request, std::string& error) {
+bool parse_request_line(std::string_view line, AdvisorRequest& request, std::string& error) {
   AdvisorRequest req;  // schema defaults; assigned to `request` only on success
   Scanner sc(line);
   if (!sc.eat('{')) {
@@ -117,69 +148,66 @@ bool parse_request_line(const std::string& line, AdvisorRequest& request, std::s
     return false;
   }
   if (!sc.eat('}')) {  // non-empty object: key:value pairs
-    std::vector<std::string> seen;
+    unsigned seen = 0;  // bit k: kKeys[k] already given (unknown keys error first)
     do {
-      std::string key;
+      std::string_view key;
       if (!sc.parse_string(key, error)) return false;
+      const Key k = key_index(key);
       // Duplicate keys are as silent a failure mode as unknown ones: a
       // request-builder bug merging defaults with overrides would get
       // last-wins semantics and a confidently wrong prediction.
-      if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
-        error = "duplicate key \"" + key + "\"";
+      if (k != kUnknownKey && (seen & (1u << k))) {
+        error = "duplicate key \"" + std::string(key) + "\"";
         return false;
       }
-      seen.push_back(key);
+      if (k != kUnknownKey) seen |= 1u << k;
       if (!sc.eat(':')) {
-        error = key + ": expected ':'";
+        error = std::string(key) + ": expected ':'";
         return false;
       }
-      if (key == "corpus") {
-        if (!sc.parse_string(req.corpus, error)) {
-          error = "corpus: " + error;
+      std::string_view text;
+      if (k == kCorpus || k == kArch) {
+        if (!sc.parse_string(text, error)) {
+          error = std::string(kKeys[k]) + ": " + error;
           return false;
         }
-      } else if (key == "arch") {
-        if (!sc.parse_string(req.arch, error)) {
-          error = "arch: " + error;
-          return false;
-        }
-      } else if (key == "renderer") {
-        std::string token;
-        if (!sc.parse_string(token, error)) {
+        (k == kCorpus ? req.corpus : req.arch).assign(text.data(), text.size());
+      } else if (k == kRenderer) {
+        if (!sc.parse_string(text, error)) {
           error = "renderer: " + error;
           return false;
         }
-        if (!renderer_from_token(token, req.renderer)) {
-          error = "renderer: unknown token \"" + token +
+        if (!renderer_from_token(text, req.renderer)) {
+          error = "renderer: unknown token \"" + std::string(text) +
                   "\" (expected raytrace, rasterize, or volume)";
           return false;
         }
-      } else if (key == "n_per_task") {
-        if (!parse_int_value(sc, "n_per_task", req.n_per_task, error)) return false;
-      } else if (key == "tasks") {
-        if (!parse_int_value(sc, "tasks", req.tasks, error)) return false;
-      } else if (key == "image_edge") {
-        if (!parse_int_value(sc, "image_edge", req.image_edge, error)) return false;
-      } else if (key == "frames") {
-        if (!parse_int_value(sc, "frames", req.frames, error)) return false;
-      } else if (key == "budget_seconds") {
+      } else if (k == kNPerTask) {
+        if (!parse_int_value(sc, k, req.n_per_task, error)) return false;
+      } else if (k == kTasks) {
+        if (!parse_int_value(sc, k, req.tasks, error)) return false;
+      } else if (k == kImageEdge) {
+        if (!parse_int_value(sc, k, req.image_edge, error)) return false;
+      } else if (k == kFrames) {
+        if (!parse_int_value(sc, k, req.frames, error)) return false;
+      } else if (k == kBudgetSeconds) {
         if (!sc.parse_number(req.budget_seconds, error)) {
           error = "budget_seconds: " + error;
           return false;
         }
-      } else if (key == "deadline_us") {
+      } else if (k == kDeadlineUs) {
         // Streaming QoS (src/cluster/): 0 = no deadline. Negative budgets
         // are a client bug, not "very urgent" — reject loudly.
         int v = 0;
-        if (!parse_int_value(sc, "deadline_us", v, error)) return false;
+        if (!parse_int_value(sc, k, v, error)) return false;
         if (v < 0) {
           error = "deadline_us: must be >= 0";
           return false;
         }
         req.deadline_us = v;
-      } else if (key == "priority") {
+      } else if (k == kPriority) {
         int v = 0;
-        if (!parse_int_value(sc, "priority", v, error)) return false;
+        if (!parse_int_value(sc, k, v, error)) return false;
         if (v < 0 || v > 7) {
           error = "priority: must be in 0..7 (0 most urgent)";
           return false;
@@ -188,7 +216,7 @@ bool parse_request_line(const std::string& line, AdvisorRequest& request, std::s
       } else {
         // Strict schema: a typo'd key must not silently fall back to a
         // default (the same loud-over-silent stance core/env takes).
-        error = "unknown key \"" + key + "\"";
+        error = "unknown key \"" + std::string(key) + "\"";
         return false;
       }
     } while (sc.eat(','));
@@ -226,27 +254,29 @@ namespace {
 // buffer: every line appends into it (to_jsonl's zero-copy form) and the
 // batch leaves through one ostream write — the buffer's capacity survives
 // across flushes, so a steady-state stream serializes without allocating.
-std::size_t flush_batch(const std::vector<std::string>& lines, const BatchHandler& handler,
-                        std::ostream& out, std::string& wire) {
-  std::vector<AdvisorResponse> responses(lines.size());
+std::size_t flush_batch(const std::string& lines, const std::vector<std::size_t>& ends,
+                        const BatchHandler& handler, std::ostream& out, std::string& wire) {
+  const std::size_t n = ends.size();
+  std::vector<AdvisorResponse> responses(n);
   std::vector<AdvisorRequest> valid;
   std::vector<std::size_t> slot;
-  valid.reserve(lines.size());
-  slot.reserve(lines.size());
-  for (std::size_t i = 0; i < lines.size(); ++i) {
+  valid.reserve(n);
+  slot.reserve(n);
+  std::string error;
+  for (std::size_t i = 0, begin = 0; i < n; begin = ends[i++]) {
+    const std::string_view line(lines.data() + begin, ends[i] - begin);
     AdvisorRequest req;
-    std::string error;
-    if (parse_request_line(lines[i], req, error)) {
-      valid.push_back(req);
+    if (parse_request_line(line, req, error)) {
+      valid.push_back(std::move(req));
       slot.push_back(i);
     } else {
       responses[i].status = AdvisorResponse::Status::kError;
       responses[i].error = "parse error: " + error;
     }
   }
-  const std::vector<AdvisorResponse> served = handler(valid);
+  std::vector<AdvisorResponse> served = handler(valid);
   for (std::size_t j = 0; j < served.size() && j < slot.size(); ++j)
-    responses[slot[j]] = served[j];
+    responses[slot[j]] = std::move(served[j]);
   wire.clear();
   for (const AdvisorResponse& r : responses) {
     to_jsonl(r, wire);
@@ -261,21 +291,26 @@ std::size_t flush_batch(const std::vector<std::string>& lines, const BatchHandle
 
 std::size_t run_jsonl(std::istream& in, std::ostream& out, const BatchHandler& handler) {
   std::size_t answered = 0;
-  std::vector<std::string> batch;
+  // The batch's lines back to back, line i ending at ends[i]: both keep
+  // their capacity across batches, so framing allocates nothing per line.
+  std::string lines;
+  std::vector<std::size_t> ends;
   std::string line;
   std::string wire;  // reused serialization buffer, one per stream
   while (std::getline(in, line)) {
     const bool blank = line.find_first_not_of(" \t\r") == std::string::npos;
     if (blank) {
-      if (!batch.empty()) {
-        answered += flush_batch(batch, handler, out, wire);
-        batch.clear();
+      if (!ends.empty()) {
+        answered += flush_batch(lines, ends, handler, out, wire);
+        lines.clear();
+        ends.clear();
       }
       continue;
     }
-    batch.push_back(line);
+    lines += line;
+    ends.push_back(lines.size());
   }
-  if (!batch.empty()) answered += flush_batch(batch, handler, out, wire);
+  if (!ends.empty()) answered += flush_batch(lines, ends, handler, out, wire);
   return answered;
 }
 

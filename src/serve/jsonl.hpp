@@ -25,6 +25,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/advisor.hpp"
@@ -33,8 +34,11 @@ namespace isr::serve {
 
 // Parses one request line (a flat JSON object; every schema value is a
 // string or a number). On success fills `request` (starting from defaults)
-// and returns true; on failure returns false and sets `error`.
-bool parse_request_line(const std::string& line, AdvisorRequest& request, std::string& error);
+// and returns true; on failure returns false and sets `error`. `line` need
+// not outlive the call: the request owns copies of its strings. Beyond
+// those copies nothing is allocated unless a string carries escapes or a
+// number token runs to 64 bytes or more.
+bool parse_request_line(std::string_view line, AdvisorRequest& request, std::string& error);
 
 // Classifies a response line this repo's wire format emitted: kOk for an
 // "ok":true line, kShed / kDegraded for error lines carrying the marker

@@ -1,18 +1,28 @@
 // The runtime-services layer: chunked-queue thread pool, parallel_for
-// helpers, validated env parsing, and the counter-based splittable RNG
-// seeding that makes parallel enumerations deterministic.
+// helpers, validated env parsing, the fd-backed streams' EINTR contract,
+// and the counter-based splittable RNG seeding that makes parallel
+// enumerations deterministic.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <istream>
+#include <string>
+#include <thread>
 #include <utility>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
+#include <pthread.h>
+#include <unistd.h>
+
 #include "core/arena.hpp"
 #include "core/env.hpp"
+#include "core/fd_stream.hpp"
 #include "core/parallel_for.hpp"
 #include "core/thread_pool.hpp"
 #include "math/rng.hpp"
@@ -221,6 +231,56 @@ TEST(HashSeed, SeparatesAdjacentCounters) {
   for (int i = 0; i < 64; ++i)
     if (ra.next_u32() == rb.next_u32()) ++equal;
   EXPECT_EQ(equal, 0);
+}
+
+// --- fd-backed streams --------------------------------------------------------
+
+extern "C" void ignore_signal(int) {}
+
+TEST(FdStream, EintrEndsABlockedReadAsEndOfInput) {
+  // The service's SIGINT contract: a handler installed without SA_RESTART
+  // interrupts a reader blocked in getline, and FdInBuf reports that as
+  // end of input instead of retrying the read.
+  struct sigaction sa {}, old {};
+  sa.sa_handler = ignore_signal;
+  sigemptyset(&sa.sa_mask);
+  sa.sa_flags = 0;
+  ASSERT_EQ(sigaction(SIGUSR1, &sa, &old), 0);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::write(fds[1], "first\n", 6), 6);
+  std::atomic<int> read_lines{0};
+  std::atomic<bool> done{false};
+  std::vector<std::string> lines;
+  std::thread reader([&] {
+    core::FdInBuf buf(fds[0]);
+    std::istream in(&buf);
+    std::string line;
+    while (std::getline(in, line)) {
+      lines.push_back(line);
+      ++read_lines;
+    }
+    done = true;
+  });
+  // The write end stays open throughout, so only the signal can end the
+  // read. Once the first line is in, re-send until the signal lands while
+  // the reader is blocked.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (read_lines == 0 && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  while (!done && std::chrono::steady_clock::now() < deadline) {
+    pthread_kill(reader.native_handle(), SIGUSR1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const bool ended_by_signal = done;
+  if (!ended_by_signal) ::close(fds[1]);  // unblock the reader so the test can fail cleanly
+  reader.join();
+  if (ended_by_signal) ::close(fds[1]);
+  ::close(fds[0]);
+  sigaction(SIGUSR1, &old, nullptr);
+  EXPECT_TRUE(ended_by_signal) << "a blocked read retried EINTR instead of ending input";
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0], "first");
 }
 
 }  // namespace

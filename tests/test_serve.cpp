@@ -4,10 +4,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <istream>
 #include <limits>
+#include <ostream>
 #include <sstream>
+#include <string_view>
+#include <thread>
 #include <vector>
 
+#include <unistd.h>
+
+#include "core/fd_stream.hpp"
+
+#include "math/rng.hpp"
 #include "serve/advisor.hpp"
 #include "serve/jsonl.hpp"
 #include "serve/registry.hpp"
@@ -463,6 +476,17 @@ TEST(JsonlFormat, ErrorResponsesEscapeJsonMetacharacters) {
   r.error = "bad \"value\"\nwith\\slash";
   EXPECT_EQ(to_jsonl(r),
             "{\"ok\":false,\"error\":\"bad \\\"value\\\"\\u000awith\\\\slash\"}");
+
+  // Every control byte 0x00-0x1f leaves as \u00xx with lowercase hex; the
+  // bytes around the range pass through.
+  for (int c = 0; c < 0x20; ++c) {
+    r.error = std::string("<") + static_cast<char>(c) + ">";
+    char want[64];
+    std::snprintf(want, sizeof(want), "{\"ok\":false,\"error\":\"<\\u%04x>\"}", c);
+    EXPECT_EQ(to_jsonl(r), want) << "byte " << c;
+  }
+  r.error = std::string(" \x7f\xc3\xa9");
+  EXPECT_EQ(to_jsonl(r), "{\"ok\":false,\"error\":\" \x7f\xc3\xa9\"}");
 }
 
 TEST(JsonlFormat, DegradedMarkerPrecedesTheErrorAndIsPartOfIdentity) {
@@ -597,6 +621,387 @@ TEST(JsonlService, NonFiniteBudgetGetsAnInSlotErrorResponse) {
   EXPECT_NE(responses[1].find("\"ok\":false"), std::string::npos);
   EXPECT_NE(responses[1].find("must be finite"), std::string::npos);
   EXPECT_NE(responses[2].find("\"ok\":true"), std::string::npos);
+}
+
+
+// --- Golden wire digest -------------------------------------------------------
+
+// FNV-1a over a byte string: the digest the golden wire test pins.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const char c : bytes) h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ull;
+  return h;
+}
+
+// One number spelled one of several ways the wire accepts (or, for the
+// fractional spellings of integer keys, rejects).
+std::string spell_number(Rng& rng, long v) {
+  char buf[64];
+  switch (rng.next_u64() % 6) {
+    case 0: std::snprintf(buf, sizeof(buf), "%ld.0", v); break;
+    case 1: std::snprintf(buf, sizeof(buf), "%lde0", v); break;
+    case 2: std::snprintf(buf, sizeof(buf), "+%ld", v); break;
+    default: std::snprintf(buf, sizeof(buf), "%ld", v); break;
+  }
+  return buf;
+}
+
+// A request line over the whole schema: every key present with
+// probability 1/2, keys in a shuffled order, optional whitespace around
+// every token. It parses unless a value draw lands outside a key's range
+// (those lines exercise the range errors).
+std::string golden_request(Rng& rng) {
+  static const char* const kKeys[] = {"corpus", "arch",   "renderer",       "n_per_task",
+                                      "tasks",  "image_edge", "budget_seconds", "frames",
+                                      "deadline_us", "priority"};
+  static const char* const kWs[] = {"", "", "", " ", "\t", " \t "};
+  int order[10];
+  for (int i = 0; i < 10; ++i) order[i] = i;
+  for (int i = 9; i > 0; --i) std::swap(order[i], order[rng.next_u64() % (i + 1)]);
+  const auto ws = [&rng] { return std::string(kWs[rng.next_u64() % 6]); };
+  std::string line = ws() + "{";
+  bool first = true;
+  for (const int k : order) {
+    if (rng.next_u64() % 2) continue;
+    if (!first) line += ws() + ",";
+    first = false;
+    line += ws() + "\"" + kKeys[k] + "\"" + ws() + ":" + ws();
+    char buf[64];
+    switch (k) {
+      case 0: line += rng.next_u64() % 2 ? "\"\"" : "\"site-7\""; break;
+      case 1: line += rng.next_u64() % 8 ? (rng.next_u64() % 2 ? "\"CPU1\"" : "\"GPU1\"")
+                                         : "\"TPU9\"";
+        break;
+      case 2: {
+        static const char* const kRenderers[] = {"\"raytrace\"", "\"rasterize\"", "\"volume\""};
+        line += kRenderers[rng.next_u64() % 3];
+        break;
+      }
+      case 3: line += spell_number(rng, rng.uniform_int(-2, 512)); break;
+      case 4: line += spell_number(rng, rng.uniform_int(0, 8192)); break;
+      case 5: line += spell_number(rng, rng.uniform_int(64, 4096)); break;
+      case 6:
+        switch (rng.next_u64() % 4) {
+          case 0: std::snprintf(buf, sizeof(buf), "%.17g", rng.next_double() * 600.0); break;
+          case 1: std::snprintf(buf, sizeof(buf), "%de-3", rng.uniform_int(0, 600000)); break;
+          case 2: std::snprintf(buf, sizeof(buf), "%.3e", rng.next_double() * 1e4); break;
+          default: std::snprintf(buf, sizeof(buf), "%d", rng.uniform_int(-1, 600)); break;
+        }
+        line += buf;
+        break;
+      case 7: line += spell_number(rng, rng.uniform_int(0, 2000)); break;
+      case 8: line += spell_number(rng, rng.uniform_int(-1, 100000)); break;
+      default: line += spell_number(rng, rng.uniform_int(-1, 8)); break;
+    }
+  }
+  return line + ws() + "}" + ws();
+}
+
+// Every malformed kind test_serve and the wirebench generator know, plus
+// escapes in keys and values, number tokens of 64 bytes and more, and
+// unknown keys with no ':'.
+std::string golden_malformed(Rng& rng) {
+  const std::string valid = golden_request(rng);
+  const std::string zeros70(70, '0');
+  const std::string digits100(100, '7');
+  switch (rng.next_u64() % 48) {
+    case 0: return "not json";
+    case 1: return R"({"unknown_key":1})";
+    case 2: return R"({"tasks":"eight"})";
+    case 3: return R"({"tasks":4.5})";
+    case 4: return R"({"renderer":"opengl"})";
+    case 5: return R"({"tasks":8,"tasks":64})";
+    case 6: return R"({"arch":"CPU1")";
+    case 7: return R"({"arch":"CPU1"} trailing)";
+    case 8: return R"({"budget_seconds":nan})";
+    case 9: return R"({"budget_seconds":NaN})";
+    case 10: return R"({"budget_seconds":inf})";
+    case 11: return R"({"budget_seconds":Infinity})";
+    case 12: return R"({"budget_seconds":-Infinity})";
+    case 13: return R"({"budget_seconds":1e999})";
+    case 14: return valid.substr(0, 1 + rng.next_u64() % valid.size());
+    case 15: return "{\"frame\":10," + valid.substr(valid.find('{') + 1);
+    case 16: return R"({"renderer":"raytracer"})";
+    case 17: return R"({"tasks":"32"})";
+    case 18: return R"({"arch":"GPU1","tasks":2,"arch":"CPU1"})";
+    case 19: return valid + "x";
+    case 20: return R"({"bogus"})";
+    case 21: return R"({"bogus" 1})";
+    case 22: return R"({"tasks" 5})";
+    case 23: return R"({"ta\tsks":1})";
+    case 24: return R"({"a\"b":1})";
+    case 25: return R"({"x\\":1,"tasks":2})";
+    case 26: return R"({"\u0041":1})";
+    case 27: return R"({"arch":"CP\"U1\/\b\f\n\r\t\\"})";
+    case 28: return R"({"corpus":"a\\b\/c\n","renderer":"ray\/trace"})";
+    case 29: return R"({"arch":"CPU1\q"})";
+    case 30: return R"({"arch":"CPU1\)";
+    case 31: return "{\"budget_seconds\":0." + zeros70 + "1}";
+    case 32: return "{\"tasks\":" + digits100 + "}";
+    case 33: return "{\"n_per_task\":" + zeros70 + "32}";
+    case 34: return "{\"frames\":1e" + digits100 + "}";
+    case 35: return "{\"budget_seconds\":" + digits100 + "abc" + digits100 + "}";
+    case 36: return R"({"tasks":})";
+    case 37: return R"({"tasks":1,})";
+    case 38: return R"({:1})";
+    case 39: return R"({"tasks":0x20,"frames":-.})";
+    case 40: return R"({"deadline_us":-1})";
+    case 41: return R"({"priority":8})";
+    case 42: return R"({"tasks":2147483648})";
+    case 43: return R"({"tasks":-2147483648})";
+    case 44: {
+      static const char kRaw[] = "{\"arch\":\"C\0P\x01\x1f\x7f\xc3\xa9\"}";
+      return std::string(kRaw, sizeof(kRaw) - 1);
+    }
+    case 45: return "[]";
+    case 46: return R"({"tasks":12}})";
+    default: return R"({"corpus":12})";
+  }
+}
+
+// A few thousand lines in blank-line-delimited batches: valid and
+// malformed requests, LF and CRLF endings, whitespace-only separators, and
+// a last line without a newline.
+std::string golden_wire_input() {
+  Rng rng(hash_seed(20161117, std::string("golden-wire")));
+  static const char* const kSeparators[] = {"", " ", "\t", " \t \r", "\r"};
+  std::string input;
+  for (int batch = 0; batch < 160; ++batch) {
+    const int lines = rng.uniform_int(1, 40);
+    for (int i = 0; i < lines; ++i) {
+      input += rng.next_u64() % 4 == 0 ? golden_malformed(rng) : golden_request(rng);
+      input += rng.next_u64() % 3 == 0 ? "\r\n" : "\n";
+    }
+    input += kSeparators[rng.next_u64() % 5];
+    input += rng.next_u64() % 3 == 0 ? "\r\n" : "\n";
+  }
+  input += R"({"renderer":"volume","tasks":3})";
+  return input;
+}
+
+constexpr std::size_t kGoldenAnswered = 3054;
+constexpr std::uint64_t kGoldenDigest = 0xaa876417e860dc3eull;
+
+TEST(JsonlService, GoldenWireDigestIsUnchanged) {
+  // Pins every response byte of the wire front end (parse errors and
+  // their order of checks, escaping, number formatting, framing) to the
+  // digest the snprintf-era serializer and std::string parser produced.
+  const std::string input = golden_wire_input();
+  std::istringstream in(input);
+  std::ostringstream out;
+  AdvisorService service(tiny_service_config());
+  const std::size_t answered = run_jsonl(in, out, service);
+  const std::string wire = out.str();
+  EXPECT_EQ(answered, kGoldenAnswered);
+  EXPECT_EQ(fnv1a(wire), kGoldenDigest) << std::hex << "digest 0x" << fnv1a(wire);
+}
+
+// --- Serializer identity --------------------------------------------------------
+
+// The snprintf serializer to_jsonl replaced, kept here as the reference
+// its ok lines must match byte for byte.
+std::string printf_jsonl(const AdvisorResponse& r) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"ok\":true,\"frame_seconds\":%.9g,\"build_seconds\":%.9g,"
+                "\"images_in_budget\":%ld,\"has_verdict\":%s,\"rt_seconds\":%.9g,"
+                "\"rast_seconds\":%.9g,\"ratio\":%.9g,\"recommendation\":\"%s\"}",
+                r.frame_seconds, r.build_seconds, r.images_in_budget,
+                r.has_verdict ? "true" : "false", r.rt_seconds, r.rast_seconds, r.ratio,
+                r.has_verdict ? (r.prefer_ray_tracing ? "raytrace" : "rasterize") : "");
+  return buf;
+}
+
+TEST(JsonlFormat, ToCharsSerializerMatchesPrintfByteForByte) {
+  using limits = std::numeric_limits<double>;
+  // Edge values: signed zeros, the denormal and finite extremes, the
+  // fixed/exponent switch points of %.9g (exponent below -4, at or above
+  // the precision 9), exact binary ties at the ninth significant digit,
+  // and the non-finite values a diverging model could still produce.
+  std::vector<double> values = {0.0,
+                                limits::denorm_min(),
+                                limits::min(),
+                                std::nextafter(limits::min(), 0.0),
+                                limits::max(),
+                                1e-5,
+                                std::nextafter(1e-5, 0.0),
+                                std::nextafter(1e-5, 1.0),
+                                1e-4,
+                                std::nextafter(1e-4, 0.0),
+                                std::nextafter(1e-4, 1.0),
+                                9.999999995e-5,
+                                9.9999999949e-5,
+                                1e9,
+                                std::nextafter(1e9, 0.0),
+                                std::nextafter(1e9, 2e9),
+                                999999999.5,
+                                999999998.5,
+                                123456789.5,
+                                123456788.5,
+                                99999999.25,
+                                12345678.75,
+                                0.5,
+                                1.0,
+                                0.1,
+                                1.0 / 3.0,
+                                6.02214076e23,
+                                limits::infinity(),
+                                limits::quiet_NaN()};
+  const std::size_t edges = values.size();
+  for (std::size_t i = 0; i < edges; ++i) values.push_back(-values[i]);
+  // 2M finite doubles from random bit patterns: every exponent, both signs.
+  Rng rng(hash_seed(7, std::string("to_chars-identity")));
+  while (values.size() < edges * 2 + 2000000) {
+    const std::uint64_t bits = rng.next_u64();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  const long longs[] = {std::numeric_limits<long>::min(), std::numeric_limits<long>::max(),
+                        0, -1, 1, 17588};
+  AdvisorResponse r;
+  r.status = AdvisorResponse::Status::kOk;
+  std::string line;
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < values.size(); i += 5) {
+    const auto at = [&](std::size_t k) { return values[(i + k) % values.size()]; };
+    r.frame_seconds = at(0);
+    r.build_seconds = at(1);
+    r.rt_seconds = at(2);
+    r.rast_seconds = at(3);
+    r.ratio = at(4);
+    r.images_in_budget = i / 5 < 6 ? longs[i / 5] : static_cast<long>(rng.next_u64());
+    r.has_verdict = (i / 5) % 3 != 0;
+    r.prefer_ray_tracing = (i / 5) % 2 == 0;
+    line.clear();
+    to_jsonl(r, line);
+    const std::string want = printf_jsonl(r);
+    if (line != want && ++mismatches <= 5) ADD_FAILURE() << "got  " << line << "\nwant " << want;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// --- Seeded parser fuzz ---------------------------------------------------------
+
+// The canonical form of a parsed request: every key, fixed order, strings
+// escaped with the escapes the parser decodes, budget at round-trip
+// precision.
+std::string canonical_line(const AdvisorRequest& r) {
+  const auto quoted = [](const std::string& s) {
+    std::string out = "\"";
+    for (const char c : s) {
+      switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\b': out += "\\b"; break;
+        case '\f': out += "\\f"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        default: out += c;
+      }
+    }
+    return out + "\"";
+  };
+  char numbers[256];
+  std::snprintf(numbers, sizeof(numbers),
+                ",\"n_per_task\":%d,\"tasks\":%d,\"image_edge\":%d,\"budget_seconds\":%.17g,"
+                "\"frames\":%d,\"deadline_us\":%ld,\"priority\":%d}",
+                r.n_per_task, r.tasks, r.image_edge, r.budget_seconds, r.frames,
+                r.deadline_us, r.priority);
+  return "{\"corpus\":" + quoted(r.corpus) + ",\"arch\":" + quoted(r.arch) +
+         ",\"renderer\":\"" + renderer_token(r.renderer) + "\"" + numbers;
+}
+
+bool fields_identical(const AdvisorRequest& a, const AdvisorRequest& b) {
+  return a.corpus == b.corpus && a.arch == b.arch && a.renderer == b.renderer &&
+         a.n_per_task == b.n_per_task && a.tasks == b.tasks && a.image_edge == b.image_edge &&
+         std::memcmp(&a.budget_seconds, &b.budget_seconds, sizeof(double)) == 0 &&
+         a.frames == b.frames && a.deadline_us == b.deadline_us && a.priority == b.priority;
+}
+
+TEST(JsonlParse, SeededMutationFuzzNeverCrashesAndRoundTripsCanonically) {
+  // Deterministic mutations of valid lines: byte flips, truncations, and
+  // inserted backslashes, quotes, digits and letters. The parser must not
+  // crash (the sanitizer build runs this), must leave the request untouched
+  // on rejection, and every accepted line must reparse from its canonical
+  // re-serialization to the same fields.
+  Rng rng(hash_seed(13, std::string("parser-fuzz")));
+  AdvisorRequest sentinel;
+  sentinel.corpus = "untouched";
+  sentinel.tasks = -12345;
+  std::size_t accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 60000; ++iter) {
+    std::string line = rng.next_u64() % 4 == 0 ? golden_malformed(rng) : golden_request(rng);
+    const int mutations = rng.uniform_int(0, 4);
+    for (int m = 0; m < mutations && !line.empty(); ++m) {
+      const std::size_t at = rng.next_u64() % line.size();
+      switch (rng.next_u64() % 6) {
+        case 0: line[at] = static_cast<char>(line[at] ^ (1 << (rng.next_u64() % 8))); break;
+        case 1: line.resize(at); break;
+        case 2: line.insert(at, 1, '\\'); break;
+        case 3: line.insert(at, 1, '"'); break;
+        case 4: line.insert(at, 1, static_cast<char>('0' + rng.next_u64() % 10)); break;
+        default: line.insert(at, 1, static_cast<char>('a' + rng.next_u64() % 26)); break;
+      }
+    }
+    AdvisorRequest parsed = sentinel;
+    std::string error;
+    if (!parse_request_line(line, parsed, error)) {
+      ++rejected;
+      ASSERT_FALSE(error.empty()) << line;
+      ASSERT_TRUE(fields_identical(parsed, sentinel)) << "rejection mutated: " << line;
+      continue;
+    }
+    ++accepted;
+    const std::string canonical = canonical_line(parsed);
+    AdvisorRequest reparsed = sentinel;
+    ASSERT_TRUE(parse_request_line(canonical, reparsed, error))
+        << line << "\n -> " << canonical << ": " << error;
+    ASSERT_TRUE(fields_identical(parsed, reparsed)) << line << "\n -> " << canonical;
+  }
+  // Both outcomes must be well represented, or the mutations are too
+  // weak (or too strong) to probe anything.
+  EXPECT_GT(accepted, 5000u);
+  EXPECT_GT(rejected, 5000u);
+}
+
+TEST(JsonlService, GoldenWireDigestHoldsOverFdStreams) {
+  // The service's own transport: the same input through a pipe into
+  // core::FdInBuf and out of core::FdOutBuf through a second pipe.
+  const std::string input = golden_wire_input();
+  int in_pipe[2], out_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  std::thread feeder([&] {
+    core::FdOutBuf buf(in_pipe[1]);
+    std::ostream(&buf).write(input.data(), static_cast<std::streamsize>(input.size()));
+    ::close(in_pipe[1]);
+  });
+  std::string wire;
+  std::thread drainer([&] {
+    char chunk[4096];
+    ssize_t n;
+    while ((n = ::read(out_pipe[0], chunk, sizeof(chunk))) > 0)
+      wire.append(chunk, static_cast<std::size_t>(n));
+  });
+  std::size_t answered = 0;
+  {
+    core::FdInBuf in_buf(in_pipe[0]);
+    core::FdOutBuf out_buf(out_pipe[1]);
+    std::istream in(&in_buf);
+    std::ostream out(&out_buf);
+    AdvisorService service(tiny_service_config());
+    answered = run_jsonl(in, out, service);
+    EXPECT_TRUE(out.good());
+  }
+  ::close(out_pipe[1]);
+  feeder.join();
+  drainer.join();
+  ::close(in_pipe[0]);
+  ::close(out_pipe[0]);
+  EXPECT_EQ(answered, kGoldenAnswered);
+  EXPECT_EQ(fnv1a(wire), kGoldenDigest) << std::hex << "digest 0x" << fnv1a(wire);
 }
 
 }  // namespace
