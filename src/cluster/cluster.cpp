@@ -617,9 +617,9 @@ void ServingCluster::watchdog_loop() {
       Shard& shard = *shards_[s];
       if (shard.worker_down()) {
         // Crash: the dead worker pulls nothing (the others keep draining
-        // the queue); reclaim the corpse, restart, re-drive the batch it
-        // held. The worker resumes degraded and earns healthy back through
-        // clean polls.
+        // the queue). Take the batch it died holding (worker_down()'s
+        // acquire makes it visible), restart, re-drive it. The worker
+        // resumes degraded and earns healthy back through clean polls.
         health_[s].store(static_cast<int>(ShardHealth::kDown),
                          std::memory_order_relaxed);
         worker_restarts_.fetch_add(1, std::memory_order_relaxed);
@@ -639,8 +639,8 @@ void ServingCluster::watchdog_loop() {
       const long suspect = suspect_[s].load(std::memory_order_relaxed);
       const bool newly_suspect = suspect != last_suspect[s];
       last_suspect[s] = suspect;
-      // Stalled = heartbeat frozen while holding a batch; an idle worker
-      // parked on the queue legitimately stops beating.
+      // Stalled = no batch taken since the last poll while still holding
+      // one; an idle worker parked on the queue legitimately stops beating.
       const bool stalled = !advanced && shard.has_inflight();
       const int current = health_[s].load(std::memory_order_relaxed);
       if (stalled || newly_suspect) {

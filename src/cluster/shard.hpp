@@ -7,13 +7,18 @@
 // failure, even a mid-flight recalibration swap can never change the
 // bytes a request answers. Batches flush on batch size, on the coalescing
 // deadline, on a kick (a closing stream flushing its in-flight tail), or
-// on shutdown, in strict-priority/EDF order across the whole cluster, and
-// evaluate through serve::answer_batch grouped by pinned (bundle,
-// constants) pair. An evaluation that throws becomes an in-slot error
-// response (never a dead thread), an injected transient failure hands the
-// item to the cluster's failure handler for a re-drive, and a (simulated)
-// worker crash parks the undelivered batch in an in-flight ledger the
-// heartbeat watchdog re-drives after restart() — which is what makes
+// on shutdown, in strict-priority/EDF order across the whole cluster.
+//
+// Every batch takes the one drain: injected-fault checks (only when an
+// injector is armed), evaluation through serve::answer_batch grouped by
+// pinned (bundle, constants) pair, cache fill and stage accounting, trace
+// spans (only when a live tracer is on), then delivery. Faults armed or
+// not, tracing on, off or absent — the same code evaluates and delivers.
+// An evaluation that throws becomes an in-slot error response (never a
+// dead thread), an injected transient failure hands the item to the
+// cluster's failure handler for a re-drive, and a (simulated) worker
+// crash leaves the popped batch itself as the crash ledger the heartbeat
+// watchdog takes and re-drives after restart() — which is what makes
 // StreamSession::close() un-hangable: every admitted item is always
 // delivered by SOMEONE. A dead or stalled worker simply stops pulling; the
 // others keep draining the queue.
@@ -87,11 +92,11 @@ class Shard {
   ~Shard();
 
   // Starts the dedicated worker thread. `faults` (nullable) injects the
-  // deterministic chaos schedule; `on_failed` (nullable) receives items
-  // that failed transiently; `trace` (nullable) records lifecycle spans —
-  // the worker emits queue/eval/deliver events only when the recorder is
-  // live-clocked (under --replay the cluster emits the whole virtual chain
-  // at admission instead). Call once.
+  // deterministic chaos schedule; `on_failed` (required) receives items
+  // that failed transiently and owns their re-drive; `trace` (nullable)
+  // records lifecycle spans — the worker emits queue/eval/deliver events
+  // only when the recorder is live-clocked (under --replay the cluster
+  // emits the whole virtual chain at admission instead). Call once.
   void start(ResponseCache* cache, core::FaultInjector* faults, FailureHandler on_failed,
              obs::TraceRecorder* trace = nullptr);
   // Joins the worker — including a crashed one the watchdog never got to.
@@ -106,20 +111,23 @@ class Shard {
   serve::AdvisorResponse evaluate(const StreamItem& item);
 
   // --- Supervision surface (the cluster's heartbeat watchdog) -----------
-  // Monotone liveness counter, bumped once per worker loop iteration; a
-  // stale heartbeat with work pending means the worker is stalled.
+  // Monotone liveness counter, bumped each time the worker takes a batch;
+  // a stale heartbeat while holding a batch means the worker is stalled.
   std::uint64_t heartbeat() const { return heartbeat_.load(std::memory_order_relaxed); }
   // True when the worker thread died mid-batch (injected crash). The
   // watchdog must take_inflight() and restart().
   bool worker_down() const { return crashed_.load(std::memory_order_acquire); }
-  // The undelivered batch a crashed worker held. Empty once re-driven.
+  // Moves out the batch a crashed worker held (the crash ledger). Call
+  // only after worker_down() and before restart(). Empty once taken.
   std::vector<StreamItem> take_inflight();
-  // True while a popped batch awaits delivery. Paired with a stale
-  // heartbeat it distinguishes "stalled mid-batch" from "idle at an empty
-  // queue" (an idle worker blocks in pop and legitimately stops beating).
-  bool has_inflight() const;
-  // Joins the dead thread and spawns a fresh worker over the same queue.
-  // Only meaningful after worker_down(); counts are the caller's job.
+  // True from pop until the batch's last delivery (or until a crashed
+  // worker's batch is taken). Paired with a stale heartbeat it
+  // distinguishes "stalled mid-batch" from "idle at an empty queue" (an
+  // idle worker blocks in pop and legitimately stops beating).
+  bool has_inflight() const { return holding_.load(std::memory_order_relaxed); }
+  // Joins the dead thread (if any) and spawns a fresh worker over the
+  // same queue with start()'s wiring; start() ends here too. After a crash
+  // call it only once worker_down(); counts are the caller's job.
   void restart();
 
   // Metrics accessors (safe during live streams: stats under a mutex).
@@ -136,22 +144,28 @@ class Shard {
   // watchdog takes over).
   enum class DrainStatus { kContinue, kStop, kCrashed };
 
+  // One evaluated item's share of its group's measured evaluation
+  // interval: where the share starts and its length in microseconds.
+  struct EvalShare {
+    std::chrono::steady_clock::time_point begin;
+    double us;
+  };
+
   void worker_loop();
+  // The one drain: pops a batch, then fault checks, evaluation,
+  // bookkeeping, trace spans, delivery. Transient failures land in
+  // `failed` for the caller to hand to the failure handler.
   DrainStatus drain_one_batch(std::vector<StreamItem>& failed);
-  // Chaos/tracing lane: the historical per-item drain — fault sites,
-  // in-flight ledger parking, per-item clock reads, and per-item trace
-  // spans. Taken only when a fault injector is armed or a live-clock
-  // tracer wants per-item spans.
-  DrainStatus drain_chaos_batch(std::vector<StreamItem>& batch, core::BatchFlush flush,
-                                std::chrono::steady_clock::time_point pop_now,
-                                bool tracing, std::vector<StreamItem>& failed);
-  // Fast-lane evaluation: groups the popped batch by its pinned
-  // (bundle, constants) pair and evaluates each group through one
-  // serve::answer_batch call against the per-shard arena scratch. An
+  // Groups the popped batch's non-`skip` items by pinned (bundle,
+  // constants) pair and evaluates each group through one
+  // serve::answer_batch call into response_scratch_, timing each group
+  // from `start` (chained) and writing every member's share. An
   // evaluation that throws falls back to the per-item evaluate() for that
-  // group, preserving the in-slot error contract.
-  void evaluate_batch(std::vector<StreamItem>& batch,
-                      std::vector<serve::AdvisorResponse>& responses);
+  // group, preserving the in-slot error contract. Returns the end of the
+  // last group. Allocates from group_arena_, which the caller resets.
+  std::chrono::steady_clock::time_point evaluate_batch(
+      const std::vector<StreamItem>& batch, const unsigned char* skip,
+      std::chrono::steady_clock::time_point start, EvalShare* shares);
 
   // Folds one batch's measured per-item mean into an estimate.
   static void update_ewma(std::atomic<double>& estimate, double measured_us);
@@ -171,17 +185,14 @@ class Shard {
 
   std::atomic<std::uint64_t> heartbeat_{0};
   std::atomic<bool> crashed_{false};
-  // The batch currently being evaluated, parked here from pop until the
-  // delivery loop finishes so a crash can never lose work. Guarded by its
-  // own mutex: the watchdog reads it while the (dead) worker cannot.
-  mutable std::mutex inflight_mutex_;
-  std::vector<StreamItem> inflight_;
+  std::atomic<bool> holding_{false};  // see has_inflight()
 
-  // Worker-private drain scratch (only the worker thread touches these;
-  // restart() joins the dead worker before a new one exists): the popped
-  // batch, its response slots, the grouping arena, and the arena behind
-  // the batched evaluator's term columns all keep their capacity across
-  // batches, so a warmed-up drain loop runs allocation-free.
+  // Worker-private drain scratch (only the worker thread touches these,
+  // except take_inflight() on a dead worker's batch; restart() joins the
+  // dead worker before a new one exists): the popped batch — also the
+  // crash ledger — its response slots, the grouping arena, and the arena
+  // behind the batched evaluator's term columns all keep their capacity
+  // across batches, so a warmed-up drain loop runs allocation-free.
   std::vector<StreamItem> batch_scratch_;
   std::vector<serve::AdvisorResponse> response_scratch_;
   core::Arena group_arena_;

@@ -75,7 +75,7 @@ class SessionState {
   // errors, shed refusals) and by workers (evaluated responses).
   void deliver(std::size_t slot, serve::AdvisorResponse&& response);
 
-  // Batched delivery for a worker's fast-lane drain: one lock acquisition
+  // Batched delivery for a worker's drain: one lock acquisition
   // for a run of responses all landing in this session (responses[i] moves
   // into slots[i]). Identical outcome to `count` deliver() calls — slots
   // address the writes, so delivery grouping can never reorder a stream.

@@ -17,6 +17,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -522,6 +523,70 @@ TEST_F(FaultClusterFixture, StalledWorkerDoesNotHoldUpQueuedWork) {
   const ClusterMetrics m = cluster.metrics();
   EXPECT_EQ(m.faults_injected, 1);
   EXPECT_EQ(m.degraded_queries, 0);
+}
+
+TEST_F(FaultClusterFixture, FaultFatesAreIdenticalAcrossBatchSizesAndWorkerCounts) {
+  // Crashes and eval throws armed together over two resident corpora, so
+  // a batch of several requests holds at least two pinned-bundle groups
+  // and transient skips fall between and inside them. A request's fate is
+  // a pure function of (seed, stream, seq, attempt): every answered slot
+  // must equal the disarmed twin's bytes, and the degraded slots — which
+  // ones, and their bytes — must not move with batch size or worker
+  // count. (faults_injected is deliberately not compared: a crash
+  // discards the rest of its batch's decisions, which re-count on
+  // re-drive.)
+  constexpr int kRequests = 48;
+  std::vector<AdvisorRequest> requests = workload(kRequests);
+  for (int j = 1; j < kRequests; j += 2) requests[static_cast<std::size_t>(j)].corpus = "dense";
+  const std::uint32_t sites =
+      site_mask(FaultSite::kShardEvalThrow) | site_mask(FaultSite::kWorkerCrash);
+  const auto config = [](int shards, std::uint64_t seed, std::uint32_t armed,
+                         std::size_t batch_size) {
+    ClusterConfig cfg = chaos_config(shards, seed, 0.4, armed);
+    cfg.batch_size = batch_size;
+    // Same calibration (one shared fit), different mapping constants: a
+    // second pinned (bundle, constants) group in every mixed batch.
+    CorpusConfig dense;
+    dense.name = "dense";
+    dense.service.calibration = tiny_calibration();
+    dense.service.constants.spr_base = 990.0;
+    cfg.corpora.push_back(std::move(dense));
+    return cfg;
+  };
+
+  ServingCluster plain(config(1, 0, 0, 4), primary_);  // disarmed twin
+  const std::vector<AdvisorResponse> expected = run_serial(plain, requests);
+  ASSERT_EQ(expected.size(), static_cast<std::size_t>(kRequests));
+  for (const AdvisorResponse& r : expected) ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_NE(serve::to_jsonl(expected[0]), serve::to_jsonl(expected[1]));
+
+  std::vector<std::pair<std::size_t, std::string>> reference_degraded;
+  bool have_reference = false;
+  for (const std::size_t batch_size : {std::size_t{1}, std::size_t{4}, std::size_t{64}}) {
+    for (const int shards : {1, 3}) {
+      SCOPED_TRACE("batch_size " + std::to_string(batch_size) + ", workers " +
+                   std::to_string(shards));
+      ServingCluster cluster(config(shards, 2016, sites, batch_size), primary_);
+      const std::vector<AdvisorResponse> responses = run_serial(cluster, requests);
+      ASSERT_EQ(responses.size(), expected.size());
+      std::vector<std::pair<std::size_t, std::string>> degraded;
+      for (std::size_t i = 0; i < responses.size(); ++i) {
+        if (responses[i].degraded())
+          degraded.emplace_back(i, serve::to_jsonl(responses[i]));
+        else
+          EXPECT_EQ(serve::to_jsonl(expected[i]), serve::to_jsonl(responses[i]))
+              << "slot " << i;
+      }
+      if (!have_reference) {
+        reference_degraded = degraded;
+        have_reference = true;
+        EXPECT_GT(reference_degraded.size(), 0u);  // the schedule really degrades...
+        EXPECT_LT(reference_degraded.size(), expected.size());  // ...and spares
+      }
+      EXPECT_EQ(degraded, reference_degraded);
+      EXPECT_GE(cluster.metrics().worker_restarts, 1);
+    }
+  }
 }
 
 TEST_F(FaultClusterFixture, QueueStallIsSurvivedWithNormalResponses) {

@@ -2,13 +2,15 @@
 // boundaries, merge associativity, percentile estimates vs exact
 // nearest-rank on the same samples, trace ring overflow + drop counters,
 // Chrome trace_event export well-formedness, replay-mode trace byte
-// reproducibility across two fresh clusters, and the "tracing never
-// changes response bytes" contract (on, off, and absent).
+// reproducibility across two fresh clusters, the "tracing never
+// changes response bytes" contract (on, off, and absent), and stage
+// accounting that reads the same whether faults or tracing are armed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/metrics.hpp"
 #include "cluster/stream.hpp"
+#include "core/fault.hpp"
 #include "obs/histogram.hpp"
 #include "obs/trace.hpp"
 #include "serve/advisor.hpp"
@@ -386,6 +389,72 @@ TEST_F(ObsClusterFixture, LiveTraceCoversTheRequestLifecycle) {
   EXPECT_NE(m.to_jsonl().find("\"service_us\":{"), std::string::npos);
   EXPECT_NE(m.to_jsonl().find("\"e2e_us\":{"), std::string::npos);
 }
+
+// Stage accounting must not depend on which faults or tracers are armed:
+// every configuration runs the one worker drain, so the histograms and
+// counters obey the same identities in all four corners.
+struct LaneCase {
+  const char* name;
+  bool faults;
+  bool tracing;
+};
+
+void PrintTo(const LaneCase& lane, std::ostream* os) { *os << lane.name; }
+
+class LaneIndependentMetrics : public ObsClusterFixture,
+                               public ::testing::WithParamInterface<LaneCase> {};
+
+TEST_P(LaneIndependentMetrics, StageCountsAgreeWithWorkerCounters) {
+  const LaneCase lane = GetParam();
+  TraceRecorder tracer;
+  if (lane.tracing) tracer.enable();
+  cluster::ClusterConfig cfg = base_config(2, 64);
+  cfg.trace = &tracer;
+  if (lane.faults) {
+    cfg.fault.seed = 4711;
+    cfg.fault.rate = 0.3;
+    cfg.fault.sites = (1u << static_cast<int>(core::FaultSite::kShardEvalThrow)) |
+                      (1u << static_cast<int>(core::FaultSite::kWorkerCrash));
+    cfg.watchdog_poll_us = 200;
+  }
+  cluster::ServingCluster serving(std::move(cfg), primary_);
+  const std::vector<serve::AdvisorRequest> base = requests(32);
+  serving.serve_batch(base);
+  serving.serve_batch(base);  // the second pass partly hits the cache
+
+  const cluster::ClusterMetrics m = serving.metrics();
+  long evaluated = 0;
+  for (const long q : m.shard_queries) evaluated += q;
+  EXPECT_GT(evaluated, 0);
+  // One service and one e2e sample per request a worker evaluated and
+  // delivered; every popped request waited, including transient failures.
+  EXPECT_EQ(m.service.count(), static_cast<std::uint64_t>(evaluated));
+  EXPECT_EQ(m.e2e.count(), static_cast<std::uint64_t>(evaluated));
+  EXPECT_GE(m.queue_wait.count(), m.service.count());
+  if (lane.faults) {
+    EXPECT_GT(m.faults_injected, 0);
+  }
+
+  if (lane.tracing) {
+    // Exactly one batch-drain span per counted batch.
+    const std::string json = tracer.chrome_trace_json();
+    const std::string needle = "\"name\":\"batch-drain\"";
+    long drains = 0;
+    for (std::size_t at = json.find(needle); at != std::string::npos;
+         at = json.find(needle, at + needle.size()))
+      ++drains;
+    EXPECT_EQ(tracer.dropped(), 0u);
+    EXPECT_EQ(drains, m.batches);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllLanes, LaneIndependentMetrics,
+    ::testing::Values(LaneCase{"CleanTracingOff", false, false},
+                      LaneCase{"CleanTracingOn", false, true},
+                      LaneCase{"FaultsTracingOff", true, false},
+                      LaneCase{"FaultsTracingOn", true, true}),
+    [](const ::testing::TestParamInfo<LaneCase>& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace isr
