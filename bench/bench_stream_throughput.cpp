@@ -93,7 +93,6 @@ cluster::ClusterConfig cluster_config(int shards) {
   cfg.service.calibration = calibration();
   cfg.shards = shards;
   cfg.cache_entries = 0;  // every request evaluated: the legs do equal work
-  cfg.replay_service_us = kServiceUs;
   return cfg;
 }
 
@@ -229,8 +228,8 @@ int main() {
   }
   const bool live_identical = identical(serialized_responses, stream_responses);
 
-  // Record/replay legs (untimed — recording serializes admission by
-  // design): record one concurrent run's schedule, replay it on a fresh
+  // Record/replay legs (untimed — replay serializes admission by design):
+  // record one concurrent run's schedule, replay it on a fresh
   // cluster with the same concurrent producers, and require both runs to
   // reproduce the serialized responses byte for byte.
   cluster::ServingCluster recorder(cluster_config(shards), primary);
@@ -245,17 +244,19 @@ int main() {
                                 schedule.size() == requests.size();
 
   // Overload leg: a synthetic single-stream schedule arriving at twice the
-  // service rate, every request carrying a deadline. Replay makes shedding
-  // a pure function of (schedule, requests); the virtual-time model here
-  // mirrors the cluster's admission recurrence (start = max(backlog, t),
-  // done = start + service, backlog = start + service / workers), so the
-  // two must agree on every request — and on 1 worker the admitted waits
-  // are exactly the model's, so their p99 respecting the deadline is the
-  // shed gate working.
+  // service rate, every request carrying a deadline and every record the
+  // service charge kServiceUs (no queue-wait term, no cache hit). Replay
+  // makes shedding a pure function of (schedule, requests); the
+  // virtual-time model here mirrors the cluster's admission recurrence
+  // (start = max(backlog, t), done = start + service, backlog = start +
+  // service / workers), so the two must agree on every request — and on
+  // 1 worker the admitted waits are exactly the model's, so their p99
+  // respecting the deadline is the shed gate working.
   cluster::AdmissionSchedule overload;
   overload.reserve(kOverloadRequests);
   for (int i = 0; i < kOverloadRequests; ++i)
-    overload.push_back({0, static_cast<std::uint64_t>(i), static_cast<std::int64_t>(2 * i)});
+    overload.push_back({0, static_cast<std::uint64_t>(i), static_cast<std::int64_t>(2 * i),
+                        kServiceUs, 0.0, false});
   constexpr int kOverloadWorkers = 1;
   cluster::ClusterConfig overload_config = cluster_config(kOverloadWorkers);
   cluster::ServingCluster overloaded(std::move(overload_config), primary);

@@ -24,10 +24,11 @@
 //   (round-robin dealing; responses come back in input order, so output
 //   bytes match the serialized run). --deadline-us D stamps requests that
 //   carry no deadline of their own, exercising the cluster's deadline-
-//   aware shedding. --record FILE saves the admission schedule at EOF;
-//   --replay FILE pins admission to a prior recording, making even shed
-//   decisions reproducible (feed it the SAME input the recording saw — a
-//   diverging flow blocks forever by design, like any misused barrier).
+//   aware shedding. --record FILE saves the admission schedule (each
+//   request's decision inputs) at EOF; --replay FILE pins admission to a
+//   prior recording, reproducing its bytes, shed decisions included (feed
+//   it the SAME input and --shards the recording saw — a diverging flow
+//   blocks forever by design, like any misused barrier).
 //   --recalibrate-every N schedules a live recalibration of every resident
 //   corpus after each N served requests, at batch boundaries (the refit
 //   runs in the background and the service waits for the swap before the

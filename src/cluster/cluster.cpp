@@ -25,26 +25,9 @@ void derive_spr_base(serve::ServiceConfig& service) {
 constexpr int kCacheWays = 8;
 constexpr int kHealthRecoveryPolls = 4;
 
-// The clock-and-cost policy: everything live, record, and replay admission
-// do differently. Record and replay are correctness modes — the whole
-// admission serializes under the lock, so the schedule captures (or pins)
-// every submission, cache hits included — and neither adds the measured
-// queue-wait term.
-struct AdmissionPolicy {
-  bool schedule_clock;   // now_us from the replay schedule, not the wall clock
-  bool fixed_service;    // charge replay_service_us, not the workers' EWMA
-  bool queue_wait_term;  // start no sooner than now + the measured queue wait
-  bool serialized;       // hold the admission lock over the whole admission
-
-  static AdmissionPolicy of(bool recording, bool replaying) {
-    const bool serialized = recording || replaying;
-    return {replaying, replaying, !serialized, serialized};
-  }
-};
-
 // The shed refusal a client sees. Integer microseconds keep the message —
 // and therefore the wire bytes — independent of floating-point formatting
-// noise; the values themselves are deterministic in replay mode.
+// noise; under replay the values come from the recorded decision inputs.
 serve::AdvisorResponse shed_response(long estimated_us, long deadline_us) {
   serve::AdvisorResponse r;
   r.status = serve::AdvisorResponse::Status::kShed;
@@ -74,7 +57,6 @@ ServingCluster::ServingCluster(ClusterConfig config,
                                std::shared_ptr<serve::ModelRegistry> primary)
     : config_(std::move(config)),
       primary_(primary ? std::move(primary) : std::make_shared<serve::ModelRegistry>()),
-      estimates_(config_.replay_service_us > 0.0 ? config_.replay_service_us : 4.0),
       faults_(config_.fault),
       epoch_(std::chrono::steady_clock::now()) {
   // Resolve the configured corpora up front: the default first (selector
@@ -115,7 +97,6 @@ ServingCluster::ServingCluster(ClusterConfig config,
   if (config_.batch_size > config_.queue_capacity)
     config_.batch_size = config_.queue_capacity;
   if (config_.batch_size == 0) config_.batch_size = 1;
-  if (config_.replay_service_us <= 0.0) config_.replay_service_us = 4.0;
   const auto deadline = std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double, std::milli>(
           config_.batch_deadline_ms > 0.0 ? config_.batch_deadline_ms : 0.0));
@@ -249,11 +230,12 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
                            const serve::AdvisorRequest& request) {
   // Everything that is a pure function of the request is prepared BEFORE
   // any lock: the queue item's request copy (string allocations) and the
-  // canonical cache key (formatting + hashing). Concurrent live producers
-  // pay only the slim order-dependent section serially — that is what lets
-  // N streams outrun one. The error paths (unknown corpus, cache hit, shed)
-  // discard the prepared item; they are the rare paths, and pessimizing
-  // them keeps the admitted path minimal.
+  // canonical cache key (formatting + hashing). Concurrent producers pay
+  // only the slim order-dependent section serially — that is what lets N
+  // streams outrun one. The paths admission answers itself (unknown
+  // corpus, failed fit, cache hit, shed) discard the prepared item; they
+  // are the rare paths, and pessimizing them keeps the admitted path
+  // minimal.
   StreamItem item;
   item.request = request;
   item.session = session;
@@ -267,61 +249,28 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   static thread_local std::string cache_key;
   if (cache_->enabled()) canonical_request_key_into(request, cache_key);
 
-  // Both mode flags are set before streams open, so a relaxed read is
-  // stable for the run.
-  const AdmissionPolicy policy =
-      AdmissionPolicy::of(recording_.load(std::memory_order_relaxed),
-                          replaying_.load(std::memory_order_relaxed));
-  std::unique_lock<std::mutex> lock(admission_mutex_, std::defer_lock);
-  std::int64_t now_us = 0;
-  if (!policy.serialized) {
-    // Derived from the enqueue timestamp captured above — one clock read
-    // per admission, and the shed estimate can never postdate the queue
-    // span.
-    now_us = std::chrono::duration_cast<std::chrono::microseconds>(item.enqueued - epoch_)
-                 .count();
-  } else {
-    lock.lock();
-    if (policy.schedule_clock) {
-      // Each submission waits until the schedule reaches its (stream, seq):
-      // what pins the interleaving.
-      replay_cv_.wait(lock, [&] {
-        return replay_cursor_ >= replay_.size() ||
-               (replay_[replay_cursor_].stream == session->id() &&
-                replay_[replay_cursor_].seq == slot);
-      });
-      if (replay_cursor_ >= replay_.size())
-        throw std::runtime_error(
-            "replay: admission schedule exhausted (submission not in the recording)");
-      now_us = replay_[replay_cursor_].t_us;
-      ++replay_cursor_;
-      replay_cv_.notify_all();
-    } else {
-      now_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                   std::chrono::steady_clock::now() - epoch_)
-                   .count();
-      recorded_.push_back({session->id(), slot, now_us});
-    }
-  }
-  // Answers the request here, off the queue; the session handoff never
-  // happens under the admission lock.
-  const auto answer = [&](serve::AdvisorResponse&& response) {
-    if (lock.owns_lock()) lock.unlock();
-    session->deliver(slot, std::move(response));
-  };
+  // Both mode flags are set before streams open, so relaxed reads are
+  // stable for the run. now_us derives from the enqueue timestamp — one
+  // clock read per admission, and the shed estimate can never postdate the
+  // queue span; replay overwrites it with the recorded timestamp.
+  const bool recording = recording_.load(std::memory_order_relaxed);
+  const bool replaying = replaying_.load(std::memory_order_relaxed);
+  std::int64_t now_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(item.enqueued - epoch_).count();
 
   // Tracing. Live runs stamp wall microseconds since the recorder's epoch.
   // Under a virtual-clock recorder (replay), EVERY event of this request's
-  // chain is emitted here, from the schedule's virtual timestamps and the
-  // backlog arithmetic, on a per-stream lane — a pure function of
-  // (schedule, requests), so the exported trace is byte-identical across
-  // fresh clusters (the workers stay silent; shard.cpp suppresses live
-  // emission when the clock is virtual). Instants are recorded BEFORE the
-  // session handoff: once a request's future resolves, its whole chain is
-  // in the rings, so an exporter woken by the delivery never reads a
-  // half-written chain.
+  // chain is emitted here, from the schedule's virtual timestamps, the
+  // recorded charges and the backlog arithmetic, on a per-stream lane — a
+  // pure function of (schedule, requests), so the exported trace is
+  // byte-identical across fresh clusters (the workers stay silent;
+  // shard.cpp suppresses live emission when the clock is virtual).
+  // Instants are recorded BEFORE the session handoff: once a request's
+  // future resolves, its whole chain is in the rings, so an exporter woken
+  // by the delivery never reads a half-written chain.
   obs::TraceRecorder* const tr = config_.trace;
-  const bool tracing = tr && tr->enabled() && (policy.serialized || !tr->virtual_clock());
+  const bool tracing =
+      tr && tr->enabled() && (recording || replaying || !tr->virtual_clock());
   const bool virt = tracing && tr->virtual_clock();
   const auto stamp = [&] { return virt ? now_us : tr->now_us(); };
   const auto trace_event = [&](const char* name, const char* note, std::int64_t ts) {
@@ -339,111 +288,154 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   const auto trace_instant = [&](const char* name, const char* note, std::int64_t ts) {
     tr->record(trace_event(name, note, ts));
   };
-  // The admit instant reuses the item's enqueue timestamp so it can never
-  // postdate the queue span the worker will stamp from the same clock.
-  if (tracing)
-    trace_instant("admit", nullptr, virt ? now_us : tr->since_epoch_us(item.enqueued));
 
+  // What admission can answer without the queue. `early_note` names it
+  // (the deliver instant's trace note) and `early` holds the response:
+  // an unknown corpus or a failed fit (refusals, never charged), or a
+  // cache hit.
+  serve::AdvisorResponse early;
+  const char* early_note = nullptr;
+  bool hit = false;
   queries_.fetch_add(1, std::memory_order_relaxed);
   // corpora_ is immutable after construction; resolution needs no lock.
   const int corpus_idx = resolve_corpus(request.corpus);
   if (corpus_idx < 0) {
     unknown_corpus_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (tracing) trace_instant("deliver", "unknown-corpus", stamp());
-    serve::AdvisorResponse r;
-    r.status = serve::AdvisorResponse::Status::kError;
-    r.error =
-        "unknown corpus \"" + request.corpus + "\" (not resident on this cluster)";
-    answer(std::move(r));
-    return;
-  }
-  corpus_queries_[static_cast<std::size_t>(corpus_idx)].fetch_add(
-      1, std::memory_order_relaxed);
-  CorpusState& corpus = *corpora_[static_cast<std::size_t>(corpus_idx)];
-  // Lazy residency: the first query naming a corpus pays its fit here
-  // (one-time, serialized under fit_mutex_ — and, when recording, under
-  // the admission lock, so the fit lands at a deterministic point in the
-  // admission order); every later query is one atomic load. Then pin the
-  // CURRENT bundle into the item — from here on the request is bound to
-  // this epoch, whatever a concurrent refit does.
-  if (!ensure_corpus_resident(static_cast<std::size_t>(corpus_idx))) {
-    degraded_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (tracing) trace_instant("deliver", "degraded", stamp());
-    answer(degraded_response("corpus \"" +
-                             (corpus.name.empty() ? std::string("default") : corpus.name) +
-                             "\" unavailable: calibration fit failed"));
-    return;
-  }
-  item.bundle = std::atomic_load(&corpus.bundle);
-  item.constants = &corpus.service.constants;
-  item.corpus_index = corpus_idx;
-
-  // Cache before the deadline check: a hit costs no queue time, so
-  // shedding it would refuse work the cluster can do for free — and the
-  // canonical key excludes deadline/priority, so a hurried request hits
-  // entries its relaxed twin populated. The probe is scoped to the
-  // corpus's partition and the PINNED epoch, so a hit is exactly the bytes
-  // this epoch's evaluation would produce. The cache is internally
-  // lock-sharded; live probing needs no admission lock.
-  if (cache_->enabled()) {
-    const bool probe_span = tracing && !virt;
-    const std::int64_t probe_begin_us = probe_span ? tr->now_us() : 0;
-    serve::AdvisorResponse hit;
-    const bool was_hit = cache_->lookup(static_cast<std::size_t>(corpus_idx),
-                                        item.bundle->epoch, cache_key, hit);
-    if (probe_span) {
-      obs::TraceEvent probe = trace_event("cache-probe", nullptr, probe_begin_us);
-      probe.phase = 'X';
-      probe.dur_us = tr->now_us() - probe_begin_us;
-      probe.values = 1;
-      probe.v0 = was_hit ? 1 : 0;
-      tr->record(probe);
-    }
-    if (was_hit) {
-      if (tracing) trace_instant("deliver", "cache-hit", stamp());
-      answer(std::move(hit));
-      return;
+    early.status = serve::AdvisorResponse::Status::kError;
+    early.error = "unknown corpus \"" + request.corpus + "\" (not resident on this cluster)";
+    early_note = "unknown-corpus";
+  } else {
+    corpus_queries_[static_cast<std::size_t>(corpus_idx)].fetch_add(
+        1, std::memory_order_relaxed);
+    CorpusState& corpus = *corpora_[static_cast<std::size_t>(corpus_idx)];
+    // Lazy residency: the first query naming a corpus pays its fit here
+    // (one-time, serialized under fit_mutex_); every later query is one
+    // atomic load. Then pin the CURRENT bundle into the item — from here on
+    // the request is bound to this epoch, whatever a concurrent refit does.
+    if (!ensure_corpus_resident(static_cast<std::size_t>(corpus_idx))) {
+      degraded_queries_.fetch_add(1, std::memory_order_relaxed);
+      early = degraded_response("corpus \"" +
+                                (corpus.name.empty() ? std::string("default") : corpus.name) +
+                                "\" unavailable: calibration fit failed");
+      early_note = "degraded";
+    } else {
+      item.bundle = std::atomic_load(&corpus.bundle);
+      item.constants = &corpus.service.constants;
+      item.corpus_index = corpus_idx;
+      // Cache before the deadline check: a hit costs no queue time, so
+      // shedding it would refuse work the cluster can do for free — and
+      // the canonical key excludes deadline/priority, so a hurried request
+      // hits entries its relaxed twin populated. The probe is scoped to the
+      // corpus's partition and the PINNED epoch, so a hit is exactly the
+      // bytes this epoch's evaluation would produce. The cache is
+      // internally lock-sharded; probing needs no admission lock.
+      if (cache_->enabled()) {
+        const bool probe_span = tracing && !virt;
+        const std::int64_t probe_begin_us = probe_span ? tr->now_us() : 0;
+        hit = cache_->lookup(static_cast<std::size_t>(corpus_idx), item.bundle->epoch,
+                             cache_key, early);
+        if (probe_span) {
+          obs::TraceEvent probe = trace_event("cache-probe", nullptr, probe_begin_us);
+          probe.phase = 'X';
+          probe.dur_us = tr->now_us() - probe_begin_us;
+          probe.values = 1;
+          probe.v0 = hit ? 1 : 0;
+          tr->record(probe);
+        }
+        if (hit) early_note = "cache-hit";
+      }
     }
   }
+  const bool refused = early_note && !hit;
 
-  // Deadline-aware admission control, the Horvitz & Lengyel budget framing
-  // applied to queueing: backlog_end_us_ is the virtual time the workers
-  // could start the next request; if this one would complete past its
-  // deadline, refuse it NOW with an explicit shed response instead of
-  // letting it rot in the queue. The service charge is the workers'
-  // measured EWMA (replay: the fixed replay_service_us, keeping shedding a
-  // pure function of the schedule); live admission also starts no sooner
-  // than the MEASURED queue wait, so the estimate reflects real queue
-  // time, not just the virtual backlog arithmetic. Admitted work advances
-  // the backlog by its share of the W workers' capacity.
-  if (!policy.serialized) lock.lock();
-  const double service_us = policy.fixed_service
-                                ? config_.replay_service_us
-                                : estimates_.service_us.load(std::memory_order_relaxed);
-  const double wait_us =
-      policy.queue_wait_term ? estimates_.queue_wait_us.load(std::memory_order_relaxed)
-                             : 0.0;
-  const double start_us = std::max(backlog_end_us_, static_cast<double>(now_us) + wait_us);
-  const double done_us = start_us + service_us;
-  if (request.deadline_us > 0 &&
-      done_us - static_cast<double>(now_us) > static_cast<double>(request.deadline_us)) {
+  // The admission critical section, the same for live, record and replay
+  // and for every request (a refusal or hit only logs or replays its
+  // record here): deadline-aware admission control, the Horvitz & Lengyel
+  // budget framing applied to queueing. backlog_end_us_ is the virtual
+  // time the workers could start the next request; a request that would
+  // complete past its deadline is refused NOW with an explicit shed
+  // response instead of rotting in the queue. The charge is the workers'
+  // measured service EWMA, and the request starts no sooner than the
+  // measured queue wait, so the estimate reflects real queue time, not
+  // just the backlog arithmetic. Admitted work advances the backlog by its
+  // share of the W workers' capacity. A recording logs exactly these
+  // decision inputs; a replay waits for its schedule turn and reads them
+  // back — timestamp, charge, and hit — so its decisions are the recorded
+  // run's. A hit is never charged. Under replay the record, not the
+  // replay's own cache, says what was a hit: the cache answers only when
+  // both agree, and the other requests are queued (a recorded hit
+  // uncharged) — evaluated bytes equal cached ones, so either way the
+  // response is the recorded one.
+  double service_us = 0.0;
+  double wait_us = 0.0;
+  double start_us = 0.0;
+  double done_us = 0.0;
+  bool shed = false;
+  {
+    std::unique_lock<std::mutex> lock(admission_mutex_);
+    if (replaying) {
+      // Each submission waits until the schedule reaches its (stream, seq):
+      // what pins the interleaving.
+      replay_cv_.wait(lock, [&] {
+        return replay_cursor_ >= replay_.size() ||
+               (replay_[replay_cursor_].stream == session->id() &&
+                replay_[replay_cursor_].seq == slot);
+      });
+      if (replay_cursor_ >= replay_.size())
+        throw std::runtime_error(
+            "replay: admission schedule exhausted (submission not in the recording)");
+      const AdmissionRecord& rec = replay_[replay_cursor_++];
+      now_us = rec.t_us;
+      service_us = rec.service_us;
+      wait_us = rec.wait_us;
+      hit = rec.hit;
+      replay_cv_.notify_all();
+    } else if (!early_note) {
+      service_us = estimates_.service_us.load(std::memory_order_relaxed);
+      wait_us = estimates_.queue_wait_us.load(std::memory_order_relaxed);
+    }
+    if (!refused && !hit) {
+      start_us = std::max(backlog_end_us_, static_cast<double>(now_us) + wait_us);
+      done_us = start_us + service_us;
+      shed = request.deadline_us > 0 &&
+             done_us - static_cast<double>(now_us) > static_cast<double>(request.deadline_us);
+      if (!shed) backlog_end_us_ = start_us + service_us / static_cast<double>(shards_.size());
+    }
+    if (!refused && !shed) item.admit_seq = admit_seq_++;
+    if (recording)
+      recorded_.push_back({session->id(), slot, now_us, service_us, wait_us, hit});
+  }
+
+  // The admit instant reuses the item's enqueue timestamp so it can never
+  // postdate the queue span the worker will stamp from the same clock.
+  if (tracing)
+    trace_instant("admit", nullptr, virt ? now_us : tr->since_epoch_us(item.enqueued));
+  if (refused || (hit && early_note)) {
+    if (tracing) trace_instant("deliver", early_note, stamp());
+    session->deliver(slot, std::move(early));
+    return;
+  }
+  if (shed) {
     shed_queries_.fetch_add(1, std::memory_order_relaxed);
     if (tracing) {
-      obs::TraceEvent shed = trace_event("shed", "deadline", stamp());
-      shed.values = 2;
-      shed.v0 = static_cast<std::int64_t>(done_us) - now_us;
-      shed.v1 = request.deadline_us;
-      tr->record(shed);
+      obs::TraceEvent e = trace_event("shed", "deadline", stamp());
+      e.values = 2;
+      e.v0 = static_cast<std::int64_t>(done_us) - now_us;
+      e.v1 = request.deadline_us;
+      tr->record(e);
     }
-    answer(shed_response(static_cast<long>(done_us) - now_us, request.deadline_us));
+    session->deliver(slot,
+                     shed_response(static_cast<long>(done_us) - now_us, request.deadline_us));
     return;
   }
-  backlog_end_us_ = start_us + service_us / static_cast<double>(shards_.size());
-
-  if (virt) {
+  if (virt && hit) {
+    // A recorded hit this replay's cache lacks: queued uncharged, traced
+    // as the hit the recorded run served.
+    trace_instant("deliver", "cache-hit", now_us);
+  } else if (virt) {
     // The admitted request's remaining virtual chain: it waits in the
-    // queue until the virtual backlog reaches it, evaluates for the fixed
-    // replay service cost, and delivers at its virtual completion.
+    // queue until the virtual backlog reaches it, evaluates for its
+    // recorded service charge, and delivers at its virtual completion.
     // Truncation is monotone (floor(a) <= floor(b) for a <= b), so the
     // spans can never disorder.
     const std::int64_t e_start = static_cast<std::int64_t>(start_us);
@@ -461,8 +453,6 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   }
 
   if (request.deadline_us > 0) item.deadline_at_us = now_us + request.deadline_us;
-  item.admit_seq = admit_seq_++;
-  lock.unlock();
   // Blocking bounded push OUTSIDE the admission lock: backpressure from a
   // full queue stalls this admitter only. Everything order-dependent (shed
   // accounting, admit_seq) is already fixed, and the ordered queue serves
@@ -472,7 +462,7 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   if (!queue_->push(std::move(item))) {
     degraded_queries_.fetch_add(1, std::memory_order_relaxed);
     if (tracing && !virt) trace_instant("deliver", "degraded", tr->now_us());
-    answer(degraded_response("cluster shut down before evaluation"));
+    session->deliver(slot, degraded_response("cluster shut down before evaluation"));
   }
 }
 
@@ -749,6 +739,14 @@ bool ServingCluster::append_observations(const std::string& name,
 }
 
 std::uint64_t ServingCluster::refit(const std::string& name) {
+  return schedule_refit(name, /*drift=*/false);
+}
+
+std::uint64_t ServingCluster::recalibrate(const std::string& name) {
+  return schedule_refit(name, /*drift=*/true);
+}
+
+std::uint64_t ServingCluster::schedule_refit(const std::string& name, bool drift) {
   const int idx = resolve_corpus(name);
   if (idx < 0) return 0;
   ensure_serving();  // the refit worker must exist to drain the queue
@@ -757,22 +755,7 @@ std::uint64_t ServingCluster::refit(const std::string& name) {
       std::atomic_load(&corpora_[static_cast<std::size_t>(idx)]->bundle);
   {
     std::lock_guard<std::mutex> lock(refit_mutex_);
-    refit_queue_.push_back({static_cast<std::size_t>(idx), /*drift=*/false});
-  }
-  refit_cv_.notify_one();
-  return current->epoch + 1;
-}
-
-std::uint64_t ServingCluster::recalibrate(const std::string& name) {
-  const int idx = resolve_corpus(name);
-  if (idx < 0) return 0;
-  ensure_serving();
-  if (!ensure_corpus_resident(static_cast<std::size_t>(idx))) return 0;
-  const serve::BundlePtr current =
-      std::atomic_load(&corpora_[static_cast<std::size_t>(idx)]->bundle);
-  {
-    std::lock_guard<std::mutex> lock(refit_mutex_);
-    refit_queue_.push_back({static_cast<std::size_t>(idx), /*drift=*/true});
+    refit_queue_.push_back({static_cast<std::size_t>(idx), drift});
   }
   refit_cv_.notify_one();
   return current->epoch + 1;
@@ -827,9 +810,7 @@ void ServingCluster::enable_recording() {
 
 AdmissionSchedule ServingCluster::take_recording() {
   std::lock_guard<std::mutex> lock(admission_mutex_);
-  AdmissionSchedule out = std::move(recorded_);
-  recorded_.clear();
-  return out;
+  return std::exchange(recorded_, {});
 }
 
 void ServingCluster::begin_replay(AdmissionSchedule schedule) {

@@ -31,28 +31,27 @@
 // pure function of (request, fitted models, mapping constants), so WHAT a
 // request answers is identical — byte-identical through serve::to_jsonl —
 // for any worker count, stream count, cache state, and resident-corpus
-// count. Shed decisions are the one interleaving-dependent output; they
-// become deterministic in REPLAY mode, where a recorded admission schedule
-// (stream id, seq, virtual timestamp) pins the interleaving and the
-// virtual clock, making shedding a pure function of (schedule, requests).
-// Live mode instead reads the wall clock and the measured service-time
-// EWMA — fast, but not replayable without a recording.
-//
-// Admission is ONE function for all three modes; live, record, and replay
-// differ only in a small clock-and-cost policy: where now_us comes from
-// (wall clock, or the schedule under replay), which per-request service
-// charge applies (the workers' measured EWMA, or the fixed
-// replay_service_us under replay), whether the measured queue-wait EWMA is
-// added to the earliest start (live only), and how much of the admission
-// holds admission_mutex_ (the whole of it under record/replay; only the
-// slim shed/sequence section live). The shed backlog is one recurrence
-// over the shared queue, for W workers:
+// count. Shed decisions are the one interleaving-dependent output: live
+// admission reads the wall clock, the workers' measured service and
+// queue-wait EWMAs, and the cache's state. The shed backlog is one
+// recurrence over the shared queue, for W workers (cache hits are never
+// charged):
 //
 //   start   = max(backlog, now + wait)
 //   done    = start + service          (shed when done - now > deadline)
 //   backlog = start + service / W      (admitted requests only)
 //
 // At W = 1 this is exactly a single FIFO server's completion time.
+//
+// Admission is ONE function with ONE critical section for all three
+// modes. Recording is live plus a log: the section that advances the
+// backlog and assigns the admission sequence also appends the request's
+// decision inputs (virtual timestamp, service and wait charge, cache hit).
+// Replay waits in that same section for its schedule turn and reads those
+// inputs back instead of measuring them, so — on a cluster with the
+// recording's worker count — a replay reproduces the recorded run's
+// bytes, sheds included: shedding becomes a pure function of (schedule,
+// requests).
 //
 // Residency: the cluster fits each calibration corpus LAZILY — on the
 // first query that names it, not at boot — and exactly once per distinct
@@ -93,13 +92,12 @@
 // admission -> a session's own mutex inside deliver):
 //   admission_mutex_ — the order-dependent heart: shed accounting against
 //     the shared virtual backlog, the admission sequence, and the schedule
-//     cursor. The LIVE path holds it only for that slim section — request
-//     copies, the canonical cache key, corpus resolution (immutable after
-//     construction), the cache probe (internally lock-sharded), and the
-//     admission counters (atomics) all happen outside, which is what lets
-//     N concurrent producers outrun one. Record/replay mode instead
-//     serializes the WHOLE admission under this lock, so the schedule
-//     captures (or pins) every submission, cache hits included.
+//     log and cursor. Every mode holds it only for that slim section —
+//     request copies, the canonical cache key, corpus resolution
+//     (immutable after construction), lazy residency, the cache probe
+//     (internally lock-sharded), and the admission counters (atomics) all
+//     happen outside, which is what lets N concurrent producers outrun
+//     one.
 //   the queue's lock — the bounded blocking push happens OUTSIDE
 //     admission_mutex_ (a full queue must not stall other admitters or a
 //     replay waiter; the admission-order guarantees are already fixed by
@@ -111,8 +109,8 @@
 // Observability: config.trace (nullable) wires an obs::TraceRecorder
 // through admission and the workers. Live runs stamp wall microseconds;
 // under --replay the admission path emits each request's whole span chain
-// from the schedule's virtual clock (workers stay silent), so a replayed
-// trace is byte-identical across fresh clusters. Tracing never changes
+// from the schedule's virtual clock and recorded charges (workers stay
+// silent), so a replayed trace is byte-identical across fresh clusters. Tracing never changes
 // response bytes — every hook is behind a null/enabled check.
 #pragma once
 
@@ -172,11 +170,6 @@ struct ClusterConfig {
   std::size_t batch_size = 64;        // coalescing flush threshold
   double batch_deadline_ms = 0.5;     // coalescing deadline
 
-  // Shed accounting's per-request service cost in microseconds: the fixed
-  // cost replay mode charges (keeping shed decisions a pure function of
-  // the schedule), and the live EWMA estimator's starting value.
-  double replay_service_us = 4.0;
-
   // Request-lifecycle tracing (obs/trace.hpp), disabled when null — the
   // zero-cost default. The recorder outlives the cluster by contract; the
   // owner decides when to enable() it and where to export. Enable with
@@ -235,11 +228,12 @@ class ServingCluster {
       const std::vector<serve::AdvisorRequest>& requests);
 
   // Admission-schedule recording and replay (see stream.hpp). Recording
-  // captures (stream, seq, virtual timestamp) per admitted request;
-  // begin_replay pins the admission interleaving AND the virtual clock to
-  // a prior recording, so a replaying cluster — given the same sessions
-  // submitting the same requests — reproduces responses and shed decisions
-  // byte-identically. Replay submissions block until the schedule reaches
+  // captures each admission's decision inputs (stream, seq, virtual
+  // timestamp, service and wait charge, cache hit); begin_replay pins the
+  // admission interleaving AND those inputs to a prior recording, so a
+  // replaying cluster with the recording's worker count — given the same
+  // sessions submitting the same requests — reproduces responses and shed
+  // decisions byte-identically. Replay submissions block until the schedule reaches
   // them; a submission the schedule never names throws. Both are meant for
   // a fresh cluster whose session-open order mirrors the recorded run.
   void enable_recording();
@@ -356,10 +350,13 @@ class ServingCluster {
   // corpora's cache partitions.
   void refit_loop();
   void run_refit(const RefitJob& job);
+  // refit()/recalibrate()'s shared body: queues one job for `name`'s
+  // corpus (forcing residency first) and returns the epoch lower bound.
+  std::uint64_t schedule_refit(const std::string& name, bool drift);
 
   // The admission path (StreamSession::submit lands here): resolve, cache,
-  // shed-or-enqueue, under the live or the record/replay clock-and-cost
-  // policy (see the header comment). `session` rides into the StreamItem
+  // then the one critical section (replay turn, shed-or-admit, record
+  // log), then deliver or enqueue (see the header comment). `session` rides into the StreamItem
   // so the worker can deliver.
   void admit(const std::shared_ptr<SessionState>& session, std::size_t slot,
              const serve::AdvisorRequest& request);
@@ -443,8 +440,8 @@ class ServingCluster {
   std::uint64_t next_stream_id_ = 0;
   std::uint64_t admit_seq_ = 0;
   double backlog_end_us_ = 0.0;
-  // Mode flags are atomic because the live fast path reads them without
-  // the lock; both are fixed before streams open (enable_recording /
+  // Mode flags are atomic because admission reads them before taking the
+  // lock; both are fixed before streams open (enable_recording /
   // begin_replay precede serving by contract).
   std::atomic<bool> recording_{false};
   AdmissionSchedule recorded_;

@@ -61,13 +61,15 @@ using WorkQueue = core::OrderedBatchQueue<StreamItem, StreamBefore>;
 // worker that failed them.
 using FailureHandler = std::function<void(std::vector<StreamItem>&&, int from_shard)>;
 
-// The live shed estimator's two measured inputs, shared by every worker:
-// EWMAs of per-request evaluation cost and of enqueue->pop queue wait, in
+// The shed check's two measured inputs, shared by every worker: EWMAs of
+// per-request evaluation cost and of enqueue->pop queue wait, in
 // microseconds. Relaxed atomics — a lost update skews an estimate, never a
-// response.
+// response (a recording logs the values each shed check actually read).
+// The service estimate starts from kInitialServiceUs until the first batch
+// is measured.
+inline constexpr double kInitialServiceUs = 4.0;
 struct LoadEstimates {
-  explicit LoadEstimates(double initial_service_us) : service_us(initial_service_us) {}
-  std::atomic<double> service_us;
+  std::atomic<double> service_us{kInitialServiceUs};
   std::atomic<double> queue_wait_us{0.0};
 };
 

@@ -1,9 +1,12 @@
 #include "cluster/stream.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace isr::cluster {
 
@@ -40,35 +43,52 @@ std::vector<serve::AdvisorResponse> SessionState::wait_drained() {
 }
 
 void save_schedule(const AdmissionSchedule& schedule, std::ostream& out) {
-  out << "# insitu-perf admission schedule: STREAM SEQ T_US per line\n";
-  for (const AdmissionRecord& r : schedule)
-    out << r.stream << ' ' << r.seq << ' ' << r.t_us << '\n';
+  out << "# insitu-perf admission schedule: STREAM SEQ T_US SERVICE_US WAIT_US HIT per line\n";
+  for (const AdmissionRecord& r : schedule) {
+    // to_chars' shortest form round-trips every double bit-exactly through
+    // from_chars, so a replay charges exactly what the recording did.
+    char service[32], wait[32];
+    *std::to_chars(service, service + 31, r.service_us).ptr = '\0';
+    *std::to_chars(wait, wait + 31, r.wait_us).ptr = '\0';
+    out << r.stream << ' ' << r.seq << ' ' << r.t_us << ' ' << service << ' ' << wait << ' '
+        << (r.hit ? '1' : '0') << '\n';
+  }
 }
+
+namespace {
+
+// One whitespace-separated token parsed whole by from_chars ("12x" and ""
+// fail instead of truncating); a charge must also be finite and >= 0.
+template <typename T>
+bool parse_token(const std::string& token, T& value) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if constexpr (std::is_floating_point_v<T>)
+    if (!(value >= 0.0) || !std::isfinite(value)) return false;
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
 
 bool load_schedule(std::istream& in, AdmissionSchedule& schedule, std::string& error) {
   AdmissionSchedule loaded;
   std::string line;
-  long line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
+  for (long line_no = 1; std::getline(in, line); ++line_no) {
     const std::size_t first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
     std::istringstream fields(line);
+    std::string tok[7];  // six fields; a seventh is trailing garbage
+    for (std::string& t : tok) fields >> t;
     AdmissionRecord rec;
-    long long stream = -1, seq = -1, t_us = 0;
-    if (!(fields >> stream >> seq >> t_us) || stream < 0 || seq < 0) {
+    rec.hit = tok[5] == "1";
+    if (!parse_token(tok[0], rec.stream) || !parse_token(tok[1], rec.seq) ||
+        !parse_token(tok[2], rec.t_us) || !parse_token(tok[3], rec.service_us) ||
+        !parse_token(tok[4], rec.wait_us) || (!rec.hit && tok[5] != "0") || !tok[6].empty()) {
       error = "schedule line " + std::to_string(line_no) +
-              ": expected \"STREAM SEQ T_US\" (got \"" + line + "\")";
+              ": expected \"STREAM SEQ T_US SERVICE_US WAIT_US HIT\" with finite, "
+              "non-negative charges and HIT 0 or 1 (got \"" + line + "\")";
       return false;
     }
-    std::string trailing;
-    if (fields >> trailing) {
-      error = "schedule line " + std::to_string(line_no) + ": trailing fields";
-      return false;
-    }
-    rec.stream = static_cast<std::uint64_t>(stream);
-    rec.seq = static_cast<std::uint64_t>(seq);
-    rec.t_us = static_cast<std::int64_t>(t_us);
     loaded.push_back(rec);
   }
   schedule = std::move(loaded);

@@ -302,11 +302,12 @@ TEST_F(ObsClusterFixture, ReplayTraceIsByteIdenticalAcrossFreshClusters) {
   // byte-identical traces: every timestamp comes from the schedule and the
   // backlog arithmetic, every lane from the stream id.
   constexpr int kRequests = 96;
+  constexpr double kServiceUs = 4.0;  // each record's service charge
   constexpr long kDeadlineUs = 24;
   cluster::AdmissionSchedule schedule;
   for (int i = 0; i < kRequests; ++i)
     schedule.push_back({0, static_cast<std::uint64_t>(i),
-                        static_cast<std::int64_t>(2 * i)});
+                        static_cast<std::int64_t>(2 * i), kServiceUs, 0.0, false});
   const std::vector<serve::AdvisorRequest> base = requests(kRequests);
 
   const auto run = [&]() {

@@ -2,9 +2,11 @@
 // scheduling order (strict priority, EDF within a class, admission-order
 // tiebreak), blocking bounded admission, kick flushes, several consumers
 // draining one queue, session lifecycle
-// (close flushes in-flight requests; submit-after-close throws), replay-
-// mode byte-identity under concurrent producers, deterministic shedding
-// under a replayed 2x overload, metrics readability during live streams,
+// (close flushes in-flight requests; submit-after-close throws), the
+// schedule file's bit-exact round trip, replay-mode byte-identity under
+// concurrent producers (a replay reproduces its recording, measured sheds
+// and cache hits included), deterministic shedding under a replayed 2x
+// overload, metrics readability during live streams,
 // and a seeded randomized-interleaving fuzz loop (the TSan CI job's
 // stress surface — every failure prints its seed).
 #include <gtest/gtest.h>
@@ -12,6 +14,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -179,7 +183,12 @@ TEST(OrderedQueueTest, OneConsumersCoalescingWindowNeverHidesWorkFromAnother) {
 // --- Admission schedules ----------------------------------------------------
 
 TEST(ScheduleIoTest, SaveLoadRoundTripsAndRejectsGarbage) {
-  AdmissionSchedule schedule = {{0, 0, 10}, {1, 0, 12}, {0, 1, 15}};
+  // Charges no short decimal represents: they must come back bit-exactly,
+  // or a replay would charge a neighbouring double and could flip a shed.
+  AdmissionSchedule schedule = {{0, 0, 10, 0.1 + 0.2, 0.0, false},
+                                {1, 0, 12, 1.0 / 3.0, 1e-300, true},
+                                {0, 1, 15, 4.0, 123456.78901234567, false},
+                                {2, 7, -3, std::nextafter(24.0, 25.0), 5e-324, false}};
   std::ostringstream out;
   save_schedule(schedule, out);
 
@@ -192,11 +201,37 @@ TEST(ScheduleIoTest, SaveLoadRoundTripsAndRejectsGarbage) {
     EXPECT_EQ(loaded[i].stream, schedule[i].stream);
     EXPECT_EQ(loaded[i].seq, schedule[i].seq);
     EXPECT_EQ(loaded[i].t_us, schedule[i].t_us);
+    EXPECT_EQ(std::memcmp(&loaded[i].service_us, &schedule[i].service_us, sizeof(double)), 0)
+        << "record " << i << " service_us";
+    EXPECT_EQ(std::memcmp(&loaded[i].wait_us, &schedule[i].wait_us, sizeof(double)), 0)
+        << "record " << i << " wait_us";
+    EXPECT_EQ(loaded[i].hit, schedule[i].hit);
   }
 
-  std::istringstream bad("0 0 10\nnot a record\n");
-  EXPECT_FALSE(load_schedule(bad, loaded, error));
-  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  // Each malformed line is refused with its line number (comments and
+  // blank lines count); there is one format and no fallback reader.
+  const std::string good = "# header\n0 0 10 4 0 0\n\n";
+  const struct {
+    const char* line;
+    const char* why;
+  } bad[] = {
+      {"0 1 10", "three-field line"},
+      {"not a record", "garbage"},
+      {"0 1 10 -4 0 0", "negative service charge"},
+      {"0 1 10 4 -0.5 0", "negative queue-wait charge"},
+      {"0 1 10 nan 0 0", "non-finite charge"},
+      {"0 1 10 4 0 2", "bad hit token"},
+      {"0 1 10 4 0 yes", "bad hit token"},
+      {"0 1 10 4 0 0 9", "trailing field"},
+      {"0 1 10x 4 0 0", "partially numeric field"},
+  };
+  for (const auto& b : bad) {
+    SCOPED_TRACE(b.why);
+    std::istringstream bad_in(good + b.line + "\n");
+    loaded.clear();
+    EXPECT_FALSE(load_schedule(bad_in, loaded, error));
+    EXPECT_NE(error.find("line 4"), std::string::npos) << error;
+  }
 }
 
 // --- Stream sessions over a live cluster ------------------------------------
@@ -229,6 +264,27 @@ class StreamFixture : public ::testing::Test {
     }
     return requests;
   }
+
+  // One concurrent producer thread per workload slice, each on its own
+  // session. Sessions open in deterministic order (ids 0..N-1) on the test
+  // thread; only the submissions race. Returns each stream's responses.
+  static std::vector<std::vector<AdvisorResponse>> run_concurrent(
+      ServingCluster& cluster, const std::vector<std::vector<AdvisorRequest>>& workload) {
+    std::vector<StreamSession> sessions;
+    sessions.reserve(workload.size());
+    for (std::size_t k = 0; k < workload.size(); ++k) sessions.push_back(cluster.open_stream());
+    std::vector<std::thread> producers;
+    producers.reserve(workload.size());
+    for (std::size_t k = 0; k < workload.size(); ++k)
+      producers.emplace_back([&workload, &sessions, k] {
+        for (const AdvisorRequest& req : workload[k]) sessions[k].submit(req);
+      });
+    for (std::thread& producer : producers) producer.join();
+    std::vector<std::vector<AdvisorResponse>> responses;
+    responses.reserve(workload.size());
+    for (StreamSession& session : sessions) responses.push_back(session.close());
+    return responses;
+  }
 };
 
 std::shared_ptr<serve::ModelRegistry> StreamFixture::primary_;
@@ -251,36 +307,15 @@ TEST_F(StreamFixture, ReplayReproducesConcurrentProducersByteIdentically) {
     for (int k = 0; k < kStreams; ++k) expected.push_back(reference.serve_batch(workload[static_cast<std::size_t>(k)]));
   }
 
-  const auto run_concurrent = [&workload](ServingCluster& cluster) {
-    // Sessions open in deterministic order (ids 0..N-1) on the test
-    // thread; only the submissions race.
-    std::vector<StreamSession> sessions;
-    sessions.reserve(kStreams);
-    for (int k = 0; k < kStreams; ++k) sessions.push_back(cluster.open_stream());
-    std::vector<std::thread> producers;
-    producers.reserve(kStreams);
-    for (int k = 0; k < kStreams; ++k)
-      producers.emplace_back([&workload, &sessions, k] {
-        for (const AdvisorRequest& req : workload[static_cast<std::size_t>(k)])
-          sessions[static_cast<std::size_t>(k)].submit(req);
-      });
-    for (std::thread& producer : producers) producer.join();
-    std::vector<std::vector<AdvisorResponse>> responses;
-    responses.reserve(kStreams);
-    for (int k = 0; k < kStreams; ++k)
-      responses.push_back(sessions[static_cast<std::size_t>(k)].close());
-    return responses;
-  };
-
   ServingCluster recorder(stream_config(3, 0), primary_);
   recorder.enable_recording();
-  const auto live = run_concurrent(recorder);
+  const auto live = run_concurrent(recorder, workload);
   const AdmissionSchedule schedule = recorder.take_recording();
   EXPECT_EQ(schedule.size(), static_cast<std::size_t>(kStreams * kPerStream));
 
   ServingCluster replayer(stream_config(3, 0), primary_);
   replayer.begin_replay(schedule);
-  const auto replayed = run_concurrent(replayer);
+  const auto replayed = run_concurrent(replayer, workload);
 
   for (int k = 0; k < kStreams; ++k) {
     const auto ks = static_cast<std::size_t>(k);
@@ -295,6 +330,69 @@ TEST_F(StreamFixture, ReplayReproducesConcurrentProducersByteIdentically) {
     }
   }
   EXPECT_EQ(recorder.registry_fits(), 1);  // replicas adopted, never refitted
+}
+
+TEST_F(StreamFixture, ReplayReproducesRecordedShedsAndCacheHits) {
+  // Seeded concurrent producers over a small key pool (half of it warmed,
+  // so the cache hits), each request drawing a deadline from a ladder
+  // whose tight end sheds.
+  // The recorded run's shed checks read the workers' MEASURED service and
+  // queue-wait estimates and its own cache state; a replay of its schedule
+  // on a fresh cluster must reproduce every response byte for byte — the
+  // sheds (estimate included) as well as the answers.
+  constexpr int kStreams = 4;
+  constexpr int kPerStream = 60;
+  constexpr long kDeadlines[] = {0, 1, 5, 20, 60, 200, 1000};
+  constexpr int kLadder = static_cast<int>(sizeof(kDeadlines) / sizeof(kDeadlines[0]));
+  const std::vector<AdvisorRequest> pool = stream_requests(0, 16);
+  // Served first (stream 0, no deadlines, closed before the producers
+  // start), so these keys hit from then on whatever the interleaving; the
+  // other half of the pool misses until evaluated and can shed.
+  const std::vector<AdvisorRequest> warm(pool.begin(), pool.begin() + 8);
+  Rng rng(hash_seed(0x5EC0Dull, 15));
+  std::vector<std::vector<AdvisorRequest>> workload(kStreams);
+  for (std::vector<AdvisorRequest>& slice : workload)
+    for (int j = 0; j < kPerStream; ++j) {
+      AdvisorRequest req =
+          pool[static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(pool.size()) - 1))];
+      req.deadline_us = kDeadlines[rng.uniform_int(0, kLadder - 1)];
+      slice.push_back(req);
+    }
+
+  for (const int workers : {1, 3})
+    for (const std::size_t cache_entries : {std::size_t{0}, std::size_t{64}}) {
+      SCOPED_TRACE("workers " + std::to_string(workers) + ", cache " +
+                   std::to_string(cache_entries));
+      ServingCluster recorder(stream_config(workers, cache_entries), primary_);
+      recorder.enable_recording();
+      recorder.serve_batch(warm);
+      const auto recorded = run_concurrent(recorder, workload);
+      const AdmissionSchedule schedule = recorder.take_recording();
+      ASSERT_EQ(schedule.size(), warm.size() + kStreams * kPerStream);
+
+      ServingCluster replayer(stream_config(workers, cache_entries), primary_);
+      replayer.begin_replay(schedule);
+      replayer.serve_batch(warm);
+      const auto replayed = run_concurrent(replayer, workload);
+
+      long shed = 0;
+      for (int k = 0; k < kStreams; ++k) {
+        const auto ks = static_cast<std::size_t>(k);
+        ASSERT_EQ(recorded[ks].size(), static_cast<std::size_t>(kPerStream));
+        ASSERT_EQ(replayed[ks].size(), recorded[ks].size());
+        for (std::size_t j = 0; j < recorded[ks].size(); ++j) {
+          EXPECT_EQ(serve::to_jsonl(recorded[ks][j]), serve::to_jsonl(replayed[ks][j]))
+              << "stream " << k << " slot " << j;
+          if (recorded[ks][j].shed()) ++shed;
+        }
+      }
+      EXPECT_GT(shed, 0);  // the tight deadlines really shed
+      EXPECT_EQ(recorder.metrics().shed_queries, shed);
+      EXPECT_EQ(replayer.metrics().shed_queries, shed);
+      if (cache_entries > 0) {
+        EXPECT_GT(recorder.metrics().cache_hits, 0);
+      }
+    }
 }
 
 TEST_F(StreamFixture, PriorityFloodDoesNotStarveOrDropUrgentWork) {
@@ -343,12 +441,13 @@ TEST_F(StreamFixture, ShedUnderReplayedOverloadIsDeterministicAndBounded) {
   // the same schedule must shed the same requests — and the shed fraction
   // must hover near the overload's steady state (half), never 0, never 1.
   constexpr int kRequests = 160;
-  constexpr long kDeadlineUs = 24;  // 6x the 4us replay service cost
+  constexpr double kServiceUs = 4.0;  // each record's service charge
+  constexpr long kDeadlineUs = 24;    // 6x service
   AdmissionSchedule schedule;
   schedule.reserve(kRequests);
   for (int i = 0; i < kRequests; ++i)
     schedule.push_back({0, static_cast<std::uint64_t>(i),
-                        static_cast<std::int64_t>(2 * i)});
+                        static_cast<std::int64_t>(2 * i), kServiceUs, 0.0, false});
 
   const std::vector<AdvisorRequest> base = stream_requests(2, kRequests);
   const auto run_replay = [&schedule, &base]() {
