@@ -176,8 +176,9 @@ int main() {
       "\"warm_hit_rate\":%.6f,\"p50_latency_ms\":%.6f,\"p99_latency_ms\":%.6f,"
       "\"identical\":%s}\n",
       requests.size(), shards, threads, t_calibrate, corpus, fits, t_serial, t_cold, t_warm,
-      n / t_serial, n / t_cold, n / t_warm, warm_hit_rate, metrics.p50_latency_ms,
-      metrics.p99_latency_ms, same ? "true" : "false");
+      n / t_serial, n / t_cold, n / t_warm, warm_hit_rate,
+      metrics.e2e.percentile_us(50.0) / 1000.0, metrics.e2e.percentile_us(99.0) / 1000.0,
+      same ? "true" : "false");
 
   // Health gates: byte-identity (cold and warm), exactly one fit per
   // distinct corpus fingerprint, a fully-hitting warm pass, all queries ok.

@@ -245,7 +245,7 @@ int main() {
 
   // Overload leg: a synthetic single-stream schedule arriving at twice the
   // service rate, every request carrying a deadline and every record the
-  // service charge kServiceUs (no queue-wait term, no cache hit). Replay
+  // service charge kServiceUs (no cache hit). Replay
   // makes shedding a pure function of (schedule, requests); the
   // virtual-time model here mirrors the cluster's admission recurrence
   // (start = max(backlog, t), done = start + service, backlog = start +
@@ -256,7 +256,7 @@ int main() {
   overload.reserve(kOverloadRequests);
   for (int i = 0; i < kOverloadRequests; ++i)
     overload.push_back({0, static_cast<std::uint64_t>(i), static_cast<std::int64_t>(2 * i),
-                        kServiceUs, 0.0, false});
+                        kServiceUs, false});
   constexpr int kOverloadWorkers = 1;
   cluster::ClusterConfig overload_config = cluster_config(kOverloadWorkers);
   cluster::ServingCluster overloaded(std::move(overload_config), primary);

@@ -24,9 +24,11 @@
 //   (round-robin dealing; responses come back in input order, so output
 //   bytes match the serialized run). --deadline-us D stamps requests that
 //   carry no deadline of their own, exercising the cluster's deadline-
-//   aware shedding. --record FILE saves the admission schedule (each
-//   request's decision inputs) at EOF; --replay FILE pins admission to a
-//   prior recording, reproducing its bytes, shed decisions included (feed
+//   aware shedding. --record FILE saves the admission schedule at EOF, one
+//   "STREAM SEQ T_US SERVICE_US HIT" line per request (its timestamp, the
+//   service charge its shed check used, whether the cache answered it);
+//   --replay FILE pins admission to a prior recording, reproducing its
+//   bytes, shed decisions and cache counters included (feed
 //   it the SAME input and --shards the recording saw — a diverging flow
 //   blocks forever by design, like any misused barrier).
 //   --recalibrate-every N schedules a live recalibration of every resident

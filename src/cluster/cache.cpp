@@ -120,7 +120,6 @@ ResponseCache::Way& ResponseCache::way_for(std::size_t partition, std::uint64_t 
 bool ResponseCache::lookup(std::size_t partition, std::uint64_t epoch,
                            const std::string& key, serve::AdvisorResponse& out) {
   if (!enabled()) return false;
-  lookups_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t h = hash_combine(0x57A9E5ull, key);
   Way& way = way_for(partition, h);
   std::lock_guard<std::mutex> lock(way.mutex);
@@ -143,7 +142,6 @@ bool ResponseCache::lookup(std::size_t partition, std::uint64_t epoch,
   }
   way.lru.splice(way.lru.begin(), way.lru, it->second);  // refresh recency
   out = it->second->response;
-  hits_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

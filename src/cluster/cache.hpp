@@ -18,7 +18,6 @@
 //     entries, leaving every other partition untouched.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -65,7 +64,8 @@ class ResponseCache {
   // response into `out`, refreshes recency, and returns true. An entry
   // stamped with an OLDER epoch is a miss and is erased in passing (it can
   // never hit again); a NEWER entry is just a miss (the looker pinned an
-  // old bundle mid-swap). Both outcomes count toward the hit-rate metrics.
+  // old bundle mid-swap). The cache keeps no counters: the cluster counts
+  // lookups and hits at admission.
   bool lookup(std::size_t partition, std::uint64_t epoch, const std::string& key,
               serve::AdvisorResponse& out);
 
@@ -84,8 +84,6 @@ class ResponseCache {
   // other partition keeps its working set.
   std::size_t invalidate_stale(std::size_t partition, std::uint64_t keep_epoch);
 
-  long lookups() const { return lookups_.load(std::memory_order_relaxed); }
-  long hits() const { return hits_.load(std::memory_order_relaxed); }
   std::size_t size() const;      // responses currently held, all partitions
   std::size_t partitions() const { return partitions_.size(); }
   std::size_t capacity() const;  // sum of every way's capacity
@@ -133,8 +131,6 @@ class ResponseCache {
   Way& way_for(std::size_t partition, std::uint64_t hash);
 
   std::vector<Partition> partitions_;  // empty when disabled
-  std::atomic<long> lookups_{0};
-  std::atomic<long> hits_{0};
 };
 
 }  // namespace isr::cluster

@@ -104,7 +104,7 @@ ServingCluster::ServingCluster(ClusterConfig config,
   shards_.reserve(static_cast<std::size_t>(n_shards));
   for (int s = 0; s < n_shards; ++s)
     shards_.push_back(
-        std::make_unique<Shard>(s, *queue_, config_.batch_size, deadline, estimates_));
+        std::make_unique<Shard>(s, *queue_, config_.batch_size, deadline, service_estimate_us_));
 
   // Fault-tolerance knobs, sanitized to their invariants.
   if (config_.retry_limit < 0) config_.retry_limit = 0;
@@ -195,6 +195,7 @@ bool ServingCluster::ensure_corpus_resident(std::size_t idx) {
   // decisions, so lazy and eager runs fail the same corpora the same way.
   // The registry dedups by fingerprint, so a corpus sharing an
   // already-fitted calibration becomes resident without a second study.
+  const auto fit_begin = std::chrono::steady_clock::now();
   bool fitted = false;
   for (int attempt = 0; attempt <= config_.retry_limit && !fitted; ++attempt) {
     if (faults_.should_fire(core::FaultSite::kCorpusFitFail, corpus.fingerprint,
@@ -209,13 +210,27 @@ bool ServingCluster::ensure_corpus_resident(std::size_t idx) {
       // budget says otherwise.
     }
   }
-  if (!fitted) {
-    corpus.residency.store(CorpusState::kFitFailed, std::memory_order_release);
-    return false;
+  // The stall stays visible without entering any request's latency:
+  // lazy_fit_ms on the metrics line, and a live lazy-fit span.
+  const auto fit_end = std::chrono::steady_clock::now();
+  lazy_fit_us_.fetch_add(
+      std::chrono::duration_cast<std::chrono::microseconds>(fit_end - fit_begin).count(),
+      std::memory_order_relaxed);
+  obs::TraceRecorder* const tr = config_.trace;
+  if (tr && tr->enabled() && !tr->virtual_clock()) {
+    obs::TraceEvent e{};
+    e.name = "lazy-fit";
+    e.cat = "cluster";
+    e.phase = 'X';
+    e.ts_us = tr->since_epoch_us(fit_begin);
+    e.dur_us = tr->since_epoch_us(fit_end) - e.ts_us;
+    e.stream = corpus.fingerprint;
+    tr->record(e);
   }
-  lazy_fits_.fetch_add(1, std::memory_order_relaxed);
-  corpus.residency.store(CorpusState::kResident, std::memory_order_release);
-  return true;
+  if (fitted) lazy_fits_.fetch_add(1, std::memory_order_relaxed);
+  corpus.residency.store(fitted ? CorpusState::kResident : CorpusState::kFitFailed,
+                         std::memory_order_release);
+  return fitted;
 }
 
 StreamSession ServingCluster::open_stream() {
@@ -241,20 +256,33 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   item.session = session;
   item.slot = slot;
   item.priority = std::max(0, std::min(7, request.priority));
-  item.enqueued = std::chrono::steady_clock::now();
+
+  // Both mode flags are set before streams open, so relaxed reads are
+  // stable for the run. Replay never probes its cache: the record says what
+  // hit.
+  const bool recording = recording_.load(std::memory_order_relaxed);
+  const bool replaying = replaying_.load(std::memory_order_relaxed);
+  const bool probing = cache_->enabled() && !replaying;
   // The canonical key lives in a thread-local buffer for exactly this
   // admission: the lookup reads it and nothing else keeps it (the drain
   // worker rebuilds the key itself), so the hot path never heap-allocates
   // for the cache, hit or miss.
   static thread_local std::string cache_key;
-  if (cache_->enabled()) canonical_request_key_into(request, cache_key);
+  if (probing) canonical_request_key_into(request, cache_key);
 
-  // Both mode flags are set before streams open, so relaxed reads are
-  // stable for the run. now_us derives from the enqueue timestamp — one
-  // clock read per admission, and the shed estimate can never postdate the
-  // queue span; replay overwrites it with the recorded timestamp.
-  const bool recording = recording_.load(std::memory_order_relaxed);
-  const bool replaying = replaying_.load(std::memory_order_relaxed);
+  queries_.fetch_add(1, std::memory_order_relaxed);
+  // corpora_ is immutable after construction; resolution needs no lock.
+  const int corpus_idx = resolve_corpus(request.corpus);
+  // Lazy residency: the first query naming a corpus pays its fit here
+  // (one-time, serialized under fit_mutex_); every later query is one
+  // atomic load. The admission clock is read only afterwards, so a
+  // calibration stall is never part of this request's queue wait.
+  const bool resident =
+      corpus_idx >= 0 && ensure_corpus_resident(static_cast<std::size_t>(corpus_idx));
+  // now_us derives from the enqueue timestamp — one clock read per
+  // admission, and the shed estimate can never postdate the queue span;
+  // replay overwrites it with the recorded timestamp.
+  item.enqueued = std::chrono::steady_clock::now();
   std::int64_t now_us =
       std::chrono::duration_cast<std::chrono::microseconds>(item.enqueued - epoch_).count();
 
@@ -296,9 +324,6 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   serve::AdvisorResponse early;
   const char* early_note = nullptr;
   bool hit = false;
-  queries_.fetch_add(1, std::memory_order_relaxed);
-  // corpora_ is immutable after construction; resolution needs no lock.
-  const int corpus_idx = resolve_corpus(request.corpus);
   if (corpus_idx < 0) {
     unknown_corpus_queries_.fetch_add(1, std::memory_order_relaxed);
     early.status = serve::AdvisorResponse::Status::kError;
@@ -308,11 +333,9 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
     corpus_queries_[static_cast<std::size_t>(corpus_idx)].fetch_add(
         1, std::memory_order_relaxed);
     CorpusState& corpus = *corpora_[static_cast<std::size_t>(corpus_idx)];
-    // Lazy residency: the first query naming a corpus pays its fit here
-    // (one-time, serialized under fit_mutex_); every later query is one
-    // atomic load. Then pin the CURRENT bundle into the item — from here on
-    // the request is bound to this epoch, whatever a concurrent refit does.
-    if (!ensure_corpus_resident(static_cast<std::size_t>(corpus_idx))) {
+    // Pin the CURRENT bundle into the item — from here on the request is
+    // bound to this epoch, whatever a concurrent refit does.
+    if (!resident) {
       degraded_queries_.fetch_add(1, std::memory_order_relaxed);
       early = degraded_response("corpus \"" +
                                 (corpus.name.empty() ? std::string("default") : corpus.name) +
@@ -329,7 +352,7 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
       // corpus's partition and the PINNED epoch, so a hit is exactly the
       // bytes this epoch's evaluation would produce. The cache is
       // internally lock-sharded; probing needs no admission lock.
-      if (cache_->enabled()) {
+      if (probing) {
         const bool probe_span = tracing && !virt;
         const std::int64_t probe_begin_us = probe_span ? tr->now_us() : 0;
         hit = cache_->lookup(static_cast<std::size_t>(corpus_idx), item.bundle->epoch,
@@ -352,22 +375,17 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
   // and for every request (a refusal or hit only logs or replays its
   // record here): deadline-aware admission control, the Horvitz & Lengyel
   // budget framing applied to queueing. backlog_end_us_ is the virtual
-  // time the workers could start the next request; a request that would
-  // complete past its deadline is refused NOW with an explicit shed
-  // response instead of rotting in the queue. The charge is the workers'
-  // measured service EWMA, and the request starts no sooner than the
-  // measured queue wait, so the estimate reflects real queue time, not
-  // just the backlog arithmetic. Admitted work advances the backlog by its
-  // share of the W workers' capacity. A recording logs exactly these
-  // decision inputs; a replay waits for its schedule turn and reads them
-  // back — timestamp, charge, and hit — so its decisions are the recorded
-  // run's. A hit is never charged. Under replay the record, not the
-  // replay's own cache, says what was a hit: the cache answers only when
-  // both agree, and the other requests are queued (a recorded hit
-  // uncharged) — evaluated bytes equal cached ones, so either way the
-  // response is the recorded one.
+  // time the workers could start the next request — the shed check's only
+  // queue model; a request that would complete past its deadline is
+  // refused NOW with an explicit shed response instead of rotting in the
+  // queue. The charge is the workers' measured service EWMA, and admitted
+  // work advances the backlog by its share of the W workers' capacity. A
+  // recording logs exactly these decision inputs; a replay waits for its
+  // schedule turn and reads them back — timestamp, charge, and hit — so its
+  // decisions are the recorded run's. A hit is never charged; a replayed
+  // hit is queued (evaluated bytes equal cached ones), so the response is
+  // the recorded one.
   double service_us = 0.0;
-  double wait_us = 0.0;
   double start_us = 0.0;
   double done_us = 0.0;
   bool shed = false;
@@ -387,30 +405,33 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
       const AdmissionRecord& rec = replay_[replay_cursor_++];
       now_us = rec.t_us;
       service_us = rec.service_us;
-      wait_us = rec.wait_us;
       hit = rec.hit;
       replay_cv_.notify_all();
     } else if (!early_note) {
-      service_us = estimates_.service_us.load(std::memory_order_relaxed);
-      wait_us = estimates_.queue_wait_us.load(std::memory_order_relaxed);
+      service_us = service_estimate_us_.load(std::memory_order_relaxed);
     }
     if (!refused && !hit) {
-      start_us = std::max(backlog_end_us_, static_cast<double>(now_us) + wait_us);
+      start_us = std::max(backlog_end_us_, static_cast<double>(now_us));
       done_us = start_us + service_us;
       shed = request.deadline_us > 0 &&
              done_us - static_cast<double>(now_us) > static_cast<double>(request.deadline_us);
       if (!shed) backlog_end_us_ = start_us + service_us / static_cast<double>(shards_.size());
     }
     if (!refused && !shed) item.admit_seq = admit_seq_++;
-    if (recording)
-      recorded_.push_back({session->id(), slot, now_us, service_us, wait_us, hit});
+    if (recording) recorded_.push_back({session->id(), slot, now_us, service_us, hit});
+  }
+  // Live counts its probe and replay its record, so a replay reports the
+  // recorded run's cache counters.
+  if (!refused && cache_->enabled()) {
+    cache_lookups_.fetch_add(1, std::memory_order_relaxed);
+    if (hit) cache_hits_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // The admit instant reuses the item's enqueue timestamp so it can never
   // postdate the queue span the worker will stamp from the same clock.
   if (tracing)
     trace_instant("admit", nullptr, virt ? now_us : tr->since_epoch_us(item.enqueued));
-  if (refused || (hit && early_note)) {
+  if (early_note) {  // a refusal, or a live cache hit
     if (tracing) trace_instant("deliver", early_note, stamp());
     session->deliver(slot, std::move(early));
     return;
@@ -429,8 +450,8 @@ void ServingCluster::admit(const std::shared_ptr<SessionState>& session, std::si
     return;
   }
   if (virt && hit) {
-    // A recorded hit this replay's cache lacks: queued uncharged, traced
-    // as the hit the recorded run served.
+    // A recorded hit: queued uncharged, traced as the hit the recorded run
+    // served.
     trace_instant("deliver", "cache-hit", now_us);
   } else if (virt) {
     // The admitted request's remaining virtual chain: it waits in the
@@ -847,8 +868,8 @@ ClusterMetrics ServingCluster::metrics() const {
   m.shard_health.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s)
     m.shard_health.emplace_back(shard_health_name(health(s)));
-  m.cache_lookups = cache_->lookups();
-  m.cache_hits = cache_->hits();
+  m.cache_lookups = cache_lookups_.load(std::memory_order_relaxed);
+  m.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   m.cache_hit_rate =
       m.cache_lookups > 0
           ? static_cast<double>(m.cache_hits) / static_cast<double>(m.cache_lookups)
@@ -867,16 +888,14 @@ ClusterMetrics ServingCluster::metrics() const {
   m.unknown_corpus_queries = unknown_corpus_queries_.load(std::memory_order_relaxed);
   m.refits = primary_->refits();
   m.lazy_fits = lazy_fits_.load(std::memory_order_relaxed);
+  m.lazy_fit_ms = static_cast<double>(lazy_fit_us_.load(std::memory_order_relaxed)) / 1000.0;
   m.epoch_invalidations = epoch_invalidations_.load(std::memory_order_relaxed);
   m.streams = streams_.load(std::memory_order_relaxed);
   m.shed_queries = shed_queries_.load(std::memory_order_relaxed);
   // Per-stage histograms: merge each worker's cumulative roll-up (bounded
-  // memory, O(1) per merge — this replaced the old sample reservoir). The
-  // legacy ms percentiles are views of the e2e histogram.
+  // memory, O(1) per merge).
   for (const auto& shard : shards_)
     shard->merge_stage_histograms(m.queue_wait, m.service, m.e2e);
-  m.p50_latency_ms = m.e2e.percentile_us(50.0) / 1000.0;
-  m.p99_latency_ms = m.e2e.percentile_us(99.0) / 1000.0;
   return m;
 }
 

@@ -32,12 +32,12 @@
 // request answers is identical — byte-identical through serve::to_jsonl —
 // for any worker count, stream count, cache state, and resident-corpus
 // count. Shed decisions are the one interleaving-dependent output: live
-// admission reads the wall clock, the workers' measured service and
-// queue-wait EWMAs, and the cache's state. The shed backlog is one
-// recurrence over the shared queue, for W workers (cache hits are never
+// admission reads the wall clock, the workers' measured service EWMA, and
+// the cache's state. The backlog is the shed check's only queue model, one
+// recurrence over the shared queue for W workers (cache hits are never
 // charged):
 //
-//   start   = max(backlog, now + wait)
+//   start   = max(backlog, now)
 //   done    = start + service          (shed when done - now > deadline)
 //   backlog = start + service / W      (admitted requests only)
 //
@@ -46,15 +46,18 @@
 // Admission is ONE function with ONE critical section for all three
 // modes. Recording is live plus a log: the section that advances the
 // backlog and assigns the admission sequence also appends the request's
-// decision inputs (virtual timestamp, service and wait charge, cache hit).
-// Replay waits in that same section for its schedule turn and reads those
-// inputs back instead of measuring them, so — on a cluster with the
+// decision inputs (virtual timestamp, service charge, cache hit). Replay
+// waits in that same section for its schedule turn and reads those inputs
+// back instead of measuring them (it never probes its own cache; a
+// recorded hit is queued uncharged), so — on a cluster with the
 // recording's worker count — a replay reproduces the recorded run's
 // bytes, sheds included: shedding becomes a pure function of (schedule,
 // requests).
 //
 // Residency: the cluster fits each calibration corpus LAZILY — on the
-// first query that names it, not at boot — and exactly once per distinct
+// first query that names it, before that query's admission clock starts
+// (the stall is reported as lazy_fit_ms and a live lazy-fit span, never as
+// queue wait) — and exactly once per distinct
 // fingerprint (on the primary registry, which callers may share across
 // clusters); registry_fits() == distinct QUERIED fingerprints at any
 // worker count. Workers hold no model state: admission pins the resolved
@@ -229,7 +232,7 @@ class ServingCluster {
 
   // Admission-schedule recording and replay (see stream.hpp). Recording
   // captures each admission's decision inputs (stream, seq, virtual
-  // timestamp, service and wait charge, cache hit); begin_replay pins the
+  // timestamp, service charge, cache hit); begin_replay pins the
   // admission interleaving AND those inputs to a prior recording, so a
   // replaying cluster with the recording's worker count — given the same
   // sessions submitting the same requests — reproduces responses and shed
@@ -391,7 +394,9 @@ class ServingCluster {
   std::shared_ptr<serve::ModelRegistry> primary_;
   // Declared before the workers: they hold references to both.
   std::unique_ptr<WorkQueue> queue_;
-  LoadEstimates estimates_;
+  // The workers' measured per-request service EWMA (shard.hpp), the shed
+  // check's charge.
+  std::atomic<double> service_estimate_us_{kInitialServiceUs};
   std::vector<std::unique_ptr<Shard>> shards_;
   // Built in the constructor body, once the corpus count (its partition
   // count) is known.
@@ -412,6 +417,7 @@ class ServingCluster {
   bool refit_busy_ = false;
   bool refit_stop_ = false;
   std::atomic<long> lazy_fits_{0};
+  std::atomic<long> lazy_fit_us_{0};  // wall time spent in lazy fits
   std::atomic<long> epoch_invalidations_{0};
 
   // Fault-tolerance state. health_ is written by the watchdog only and
@@ -454,6 +460,8 @@ class ServingCluster {
   std::unique_ptr<std::atomic<long>[]> corpus_queries_;  // aligned with corpora_
   std::atomic<long> unknown_corpus_queries_{0};
   std::atomic<long> shed_queries_{0};
+  std::atomic<long> cache_lookups_{0};
+  std::atomic<long> cache_hits_{0};
   std::atomic<long> streams_{0};
 };
 

@@ -92,7 +92,7 @@ std::string ClusterMetrics::to_jsonl() const {
   const char* fmt =
       "{\"shards\":%d,\"queries\":%ld,\"shard_queries\":%s,"
       "\"corpus_queries\":%s,\"unknown_corpus_queries\":%ld,"
-      "\"bundle_epoch\":%s,\"refits\":%ld,\"lazy_fits\":%ld,"
+      "\"bundle_epoch\":%s,\"refits\":%ld,\"lazy_fits\":%ld,\"lazy_fit_ms\":%.3f,"
       "\"epoch_invalidations\":%ld,"
       "\"streams\":%ld,\"shed_queries\":%ld,"
       "\"rebalanced_queries\":0,"
@@ -102,30 +102,23 @@ std::string ClusterMetrics::to_jsonl() const {
       "\"faults_injected\":%ld,\"shard_health\":%s,"
       "\"batches\":%ld,\"size_flushes\":%ld,\"deadline_flushes\":%ld,"
       "\"kick_flushes\":%ld,\"close_flushes\":%ld,\"max_queue_depth\":%zu,"
-      "\"queue_wait_us\":%s,\"service_us\":%s,\"e2e_us\":%s,"
-      "\"p50_latency_ms\":%.6f,\"p99_latency_ms\":%.6f}";
+      "\"queue_wait_us\":%s,\"service_us\":%s,\"e2e_us\":%s}";
   const std::string queue_wait_json = queue_wait.to_json();
   const std::string service_json = service.to_json();
   const std::string e2e_json = e2e.to_json();
-  // Two-pass snprintf into an exactly-sized string, as in study.cpp.
-  const int len = std::snprintf(
-      nullptr, 0, fmt, shards, queries, shard_list.c_str(), corpus_map.c_str(),
-      unknown_corpus_queries, epoch_map.c_str(), refits, lazy_fits,
-      epoch_invalidations, streams, shed_queries, cache_lookups, cache_hits,
-      cache_hit_rate, worker_restarts, failovers, retries, timeouts, degraded_queries,
-      eval_exceptions, faults_injected, health_list.c_str(), batches, size_flushes,
-      deadline_flushes, kick_flushes, close_flushes, max_queue_depth,
-      queue_wait_json.c_str(), service_json.c_str(), e2e_json.c_str(), p50_latency_ms,
-      p99_latency_ms);
-  std::string line(static_cast<std::size_t>(len > 0 ? len : 0), '\0');
-  std::snprintf(&line[0], line.size() + 1, fmt, shards, queries, shard_list.c_str(),
-                corpus_map.c_str(), unknown_corpus_queries, epoch_map.c_str(), refits,
-                lazy_fits, epoch_invalidations, streams, shed_queries, cache_lookups,
-                cache_hits, cache_hit_rate, worker_restarts, failovers, retries,
-                timeouts, degraded_queries, eval_exceptions, faults_injected,
-                health_list.c_str(), batches, size_flushes, deadline_flushes,
-                kick_flushes, close_flushes, max_queue_depth, queue_wait_json.c_str(), service_json.c_str(),
-                e2e_json.c_str(), p50_latency_ms, p99_latency_ms);
+  // Two passes of one formatter: size, then fill an exactly-sized string.
+  const auto format = [&](char* out, std::size_t size) {
+    return std::snprintf(
+        out, size, fmt, shards, queries, shard_list.c_str(), corpus_map.c_str(),
+        unknown_corpus_queries, epoch_map.c_str(), refits, lazy_fits, lazy_fit_ms,
+        epoch_invalidations, streams, shed_queries, cache_lookups, cache_hits,
+        cache_hit_rate, worker_restarts, failovers, retries, timeouts, degraded_queries,
+        eval_exceptions, faults_injected, health_list.c_str(), batches, size_flushes,
+        deadline_flushes, kick_flushes, close_flushes, max_queue_depth,
+        queue_wait_json.c_str(), service_json.c_str(), e2e_json.c_str());
+  };
+  std::string line(static_cast<std::size_t>(std::max(format(nullptr, 0), 0)), '\0');
+  format(&line[0], line.size() + 1);
   return line;
 }
 

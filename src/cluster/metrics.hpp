@@ -45,11 +45,13 @@ struct ClusterMetrics {
   // Live recalibration: the current bundle epoch per configured corpus
   // (cluster-config order; 0 = not yet resident under lazy fitting, 1 =
   // initial fit, +1 per refit), refits completed, corpora fitted lazily on
-  // first query, and response-cache entries evicted by epoch-scoped
-  // invalidation sweeps after refit swaps.
+  // first query, the wall time those lazy fits took (milliseconds; a
+  // request's latency never includes it), and response-cache entries
+  // evicted by epoch-scoped invalidation sweeps after refit swaps.
   std::vector<std::pair<std::string, std::uint64_t>> bundle_epoch;
   long refits = 0;
   long lazy_fits = 0;
+  double lazy_fit_ms = 0.0;
   long epoch_invalidations = 0;
 
   // Streaming admission: sessions ever opened (serve_batch counts one per
@@ -58,6 +60,8 @@ struct ClusterMetrics {
   long streams = 0;
   long shed_queries = 0;
 
+  // Counted at admission: live runs count their cache probes, replays
+  // their recorded hits.
   long cache_lookups = 0;
   long cache_hits = 0;
   double cache_hit_rate = 0.0;  // hits / lookups; 0 when the cache is off
@@ -93,17 +97,9 @@ struct ClusterMetrics {
   //   service     one request's evaluation inside the drained batch
   //   e2e         enqueue -> response slot written (cache hits and shed
   //               requests never enter the queue and are not counted)
-  // An EWMA of the measured queue wait also feeds live admission's
-  // completion estimate (cluster.cpp), so shedding reflects measured
-  // stage time.
   obs::LatencyHistogram queue_wait;
   obs::LatencyHistogram service;
   obs::LatencyHistogram e2e;
-
-  // Convenience views of the e2e histogram (estimates, milliseconds) —
-  // kept because benches and dashboards already chart them.
-  double p50_latency_ms = 0.0;
-  double p99_latency_ms = 0.0;
 
   // One JSON object, no trailing newline. Schema in docs/ARCHITECTURE.md.
   std::string to_jsonl() const;

@@ -17,12 +17,12 @@ const char* shard_health_name(ShardHealth health) {
 }
 
 Shard::Shard(int index, WorkQueue& queue, std::size_t batch_size,
-             std::chrono::nanoseconds batch_deadline, LoadEstimates& estimates)
+             std::chrono::nanoseconds batch_deadline, std::atomic<double>& service_us)
     : index_(index),
       batch_size_(batch_size > 0 ? batch_size : 1),
       batch_deadline_(batch_deadline),
       queue_(queue),
-      estimates_(estimates) {}
+      service_estimate_us_(service_us) {}
 
 Shard::~Shard() { join(); }
 
@@ -37,11 +37,6 @@ void Shard::start(ResponseCache* cache, core::FaultInjector* faults,
 
 void Shard::join() {
   if (worker_.joinable()) worker_.join();
-}
-
-void Shard::update_ewma(std::atomic<double>& estimate, double measured_us) {
-  const double old = estimate.load(std::memory_order_relaxed);
-  estimate.store(0.8 * old + 0.2 * measured_us, std::memory_order_relaxed);
 }
 
 void Shard::worker_loop() {
@@ -244,18 +239,20 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
     return wait < 0.0 ? 0.0 : wait;
   };
 
-  // Feed the live shed estimator: measured microseconds per evaluated
-  // request.
-  if (evaluated > 0)
-    update_ewma(estimates_.service_us,
-                std::chrono::duration<double, std::micro>(eval_done - eval_start).count() /
-                    static_cast<double>(evaluated));
+  // Feed the live shed estimator: an EWMA of the measured microseconds per
+  // evaluated request.
+  if (evaluated > 0) {
+    const double measured_us =
+        std::chrono::duration<double, std::micro>(eval_done - eval_start).count() /
+        static_cast<double>(evaluated);
+    const double old = service_estimate_us_.load(std::memory_order_relaxed);
+    service_estimate_us_.store(0.8 * old + 0.2 * measured_us, std::memory_order_relaxed);
+  }
   // Account the batch BEFORE delivering: the final delivery may wake a
   // close()d session whose client immediately reads metrics(), and the
   // flush that carried its responses must already be counted. Only
   // delivered items count as queries; transient failures are the failover
   // path's to account.
-  double wait_us_sum = 0.0;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.queries += static_cast<long>(evaluated);
@@ -265,20 +262,13 @@ Shard::DrainStatus Shard::drain_one_batch(std::vector<StreamItem>& failed) {
     else if (flush == core::BatchFlush::kKicked) stats_.kick_flushes += 1;
     else stats_.close_flushes += 1;
     for (std::size_t i = 0; i < n; ++i) {
-      const double wait_us = item_wait_us(batch[i]);
-      wait_us_sum += wait_us;
-      queue_wait_us_.record(wait_us);
+      queue_wait_us_.record(item_wait_us(batch[i]));
       if (transient[i]) continue;
       service_us_.record(shares[i].us);
       e2e_us_.record(
           std::chrono::duration<double, std::micro>(eval_done - batch[i].enqueued).count());
     }
   }
-  // EWMA over measured queue wait: live admission adds this to its backlog
-  // estimate so shedding reflects the stage the request is actually about
-  // to pay, not an end-to-end guess.
-  update_ewma(estimates_.queue_wait_us, wait_us_sum / static_cast<double>(n));
-
   // Every span and deliver instant is recorded BEFORE the session
   // handoff: the final delivery may wake a client that immediately exports
   // the trace, and a ring must never owe events for a request whose future

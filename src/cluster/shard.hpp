@@ -61,17 +61,12 @@ using WorkQueue = core::OrderedBatchQueue<StreamItem, StreamBefore>;
 // worker that failed them.
 using FailureHandler = std::function<void(std::vector<StreamItem>&&, int from_shard)>;
 
-// The shed check's two measured inputs, shared by every worker: EWMAs of
-// per-request evaluation cost and of enqueue->pop queue wait, in
-// microseconds. Relaxed atomics — a lost update skews an estimate, never a
-// response (a recording logs the values each shed check actually read).
-// The service estimate starts from kInitialServiceUs until the first batch
-// is measured.
+// The shed check's one measured input, shared by every worker: an EWMA of
+// per-request evaluation cost in microseconds, starting from
+// kInitialServiceUs until the first batch is measured. A relaxed atomic —
+// a lost update skews the estimate, never a response (a recording logs the
+// value each shed check actually read).
 inline constexpr double kInitialServiceUs = 4.0;
-struct LoadEstimates {
-  std::atomic<double> service_us{kInitialServiceUs};
-  std::atomic<double> queue_wait_us{0.0};
-};
 
 // Per-worker counters, merged into ClusterMetrics by the cluster.
 struct ShardStats {
@@ -86,9 +81,10 @@ struct ShardStats {
 
 class Shard {
  public:
-  // `queue` and `estimates` are the cluster's and outlive the worker.
+  // `queue` and `service_us` (the shared service EWMA) are the cluster's
+  // and outlive the worker.
   Shard(int index, WorkQueue& queue, std::size_t batch_size,
-        std::chrono::nanoseconds batch_deadline, LoadEstimates& estimates);
+        std::chrono::nanoseconds batch_deadline, std::atomic<double>& service_us);
   // Joins the worker if the owner forgot join(); the owner closes the
   // queue first, so the worker is already on its way out.
   ~Shard();
@@ -169,14 +165,11 @@ class Shard {
       const std::vector<StreamItem>& batch, const unsigned char* skip,
       std::chrono::steady_clock::time_point start, EvalShare* shares);
 
-  // Folds one batch's measured per-item mean into an estimate.
-  static void update_ewma(std::atomic<double>& estimate, double measured_us);
-
   int index_;
   std::size_t batch_size_;
   std::chrono::nanoseconds batch_deadline_;
   WorkQueue& queue_;
-  LoadEstimates& estimates_;
+  std::atomic<double>& service_estimate_us_;
 
   // Wiring fixed by start() before the worker exists; restart() reuses it.
   ResponseCache* cache_ = nullptr;

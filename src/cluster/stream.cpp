@@ -43,14 +43,13 @@ std::vector<serve::AdvisorResponse> SessionState::wait_drained() {
 }
 
 void save_schedule(const AdmissionSchedule& schedule, std::ostream& out) {
-  out << "# insitu-perf admission schedule: STREAM SEQ T_US SERVICE_US WAIT_US HIT per line\n";
+  out << "# insitu-perf admission schedule: STREAM SEQ T_US SERVICE_US HIT per line\n";
   for (const AdmissionRecord& r : schedule) {
     // to_chars' shortest form round-trips every double bit-exactly through
     // from_chars, so a replay charges exactly what the recording did.
-    char service[32], wait[32];
+    char service[32];
     *std::to_chars(service, service + 31, r.service_us).ptr = '\0';
-    *std::to_chars(wait, wait + 31, r.wait_us).ptr = '\0';
-    out << r.stream << ' ' << r.seq << ' ' << r.t_us << ' ' << service << ' ' << wait << ' '
+    out << r.stream << ' ' << r.seq << ' ' << r.t_us << ' ' << service << ' '
         << (r.hit ? '1' : '0') << '\n';
   }
 }
@@ -77,16 +76,16 @@ bool load_schedule(std::istream& in, AdmissionSchedule& schedule, std::string& e
     const std::size_t first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos || line[first] == '#') continue;
     std::istringstream fields(line);
-    std::string tok[7];  // six fields; a seventh is trailing garbage
+    std::string tok[6];  // five fields; a sixth is trailing garbage
     for (std::string& t : tok) fields >> t;
     AdmissionRecord rec;
-    rec.hit = tok[5] == "1";
+    rec.hit = tok[4] == "1";
     if (!parse_token(tok[0], rec.stream) || !parse_token(tok[1], rec.seq) ||
         !parse_token(tok[2], rec.t_us) || !parse_token(tok[3], rec.service_us) ||
-        !parse_token(tok[4], rec.wait_us) || (!rec.hit && tok[5] != "0") || !tok[6].empty()) {
+        (!rec.hit && tok[4] != "0") || !tok[5].empty()) {
       error = "schedule line " + std::to_string(line_no) +
-              ": expected \"STREAM SEQ T_US SERVICE_US WAIT_US HIT\" with finite, "
-              "non-negative charges and HIT 0 or 1 (got \"" + line + "\")";
+              ": expected \"STREAM SEQ T_US SERVICE_US HIT\" with a finite, "
+              "non-negative charge and HIT 0 or 1 (got \"" + line + "\")";
       return false;
     }
     loaded.push_back(rec);

@@ -10,9 +10,9 @@
 //      submission order regardless of service order.
 //   2. Shed decisions DO depend on interleaving and on measurement (they
 //      read the admission clock, the virtual backlog, and the workers'
-//      measured service and queue-wait estimates), so the cluster can
-//      record the admission schedule — per admission: stream id, seq,
-//      virtual timestamp, the charge the shed check applied, and whether
+//      measured service estimate), so the cluster can record the
+//      admission schedule — per admission: stream id, seq, virtual
+//      timestamp, the service charge the shed check applied, and whether
 //      the cache answered — and later replay it, forcing the exact
 //      interleaving and decision inputs. Replay turns every
 //      nondeterministic input into data, so a replayed run reproduces the
@@ -40,8 +40,8 @@ namespace isr::cluster {
 // One admission in a recorded schedule: which stream, its per-stream
 // submission sequence number, the virtual admission timestamp
 // (microseconds since the cluster's epoch), and the inputs the shed check
-// decided from — the service and queue-wait charge it applied (both 0 for
-// a request it never charged) and whether the cache answered the request.
+// decided from — the service charge it applied (0 for a request it never
+// charged) and whether the cache answered the request.
 // Replay feeds these exact values back into the backlog recurrence, so a
 // replayed run sheds exactly what the recorded run shed.
 struct AdmissionRecord {
@@ -49,16 +49,15 @@ struct AdmissionRecord {
   std::uint64_t seq = 0;
   std::int64_t t_us = 0;
   double service_us = 0.0;
-  double wait_us = 0.0;
   bool hit = false;
 };
 
 using AdmissionSchedule = std::vector<AdmissionRecord>;
 
 // Schedule file IO for the --record/--replay CLI flags: a comment-friendly
-// text format, one "STREAM SEQ T_US SERVICE_US WAIT_US HIT" record per
-// line (HIT is 0 or 1; the charges are written shortest-round-trip, so
-// they load back bit-exactly). load returns false (with a one-line reason
+// text format, one "STREAM SEQ T_US SERVICE_US HIT" record per line (HIT
+// is 0 or 1; the charge is written shortest-round-trip, so it loads back
+// bit-exactly). load returns false (with a one-line reason
 // naming the line) on any malformed line — the same loud-over-silent
 // stance as the wire-format parser.
 void save_schedule(const AdmissionSchedule& schedule, std::ostream& out);

@@ -156,16 +156,6 @@ TEST(ResponseCacheTest, DisabledCacheNeverHits) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(ResponseCacheTest, CountsLookupsAndHits) {
-  ResponseCache cache(8);
-  AdvisorResponse out;
-  EXPECT_FALSE(cache.lookup(0, 1, "a", out));
-  cache.insert(0, 1, "a", ok_response(1.0));
-  EXPECT_TRUE(cache.lookup(0, 1, "a", out));
-  EXPECT_EQ(cache.lookups(), 2);
-  EXPECT_EQ(cache.hits(), 1);
-}
-
 TEST(ResponseCacheTest, PartitionQuotasAreStructural) {
   // 8 entries over 2 partitions: each partition owns 4 slots, and
   // flooding partition 0 with far more keys than the whole cache holds
@@ -334,12 +324,14 @@ TEST_F(ClusterFixture, MetricsJsonLineHasTheDocumentedShape)  {
        {"\"shards\":", "\"queries\":", "\"shard_queries\":[",
         "\"corpus_queries\":{\"default\":", "\"unknown_corpus_queries\":",
         "\"bundle_epoch\":{\"default\":", "\"refits\":", "\"lazy_fits\":",
+        "\"lazy_fit_ms\":",
         "\"epoch_invalidations\":",
         "\"streams\":", "\"shed_queries\":",
         "\"rebalanced_queries\":0,", "\"cache_lookups\":",
         "\"cache_hits\":", "\"cache_hit_rate\":", "\"batches\":", "\"size_flushes\":",
         "\"deadline_flushes\":", "\"kick_flushes\":", "\"close_flushes\":",
-        "\"max_queue_depth\":", "\"p50_latency_ms\":", "\"p99_latency_ms\":"})
+        "\"max_queue_depth\":", "\"queue_wait_us\":{", "\"service_us\":{",
+        "\"e2e_us\":{"})
     EXPECT_NE(line.find(key), std::string::npos) << key << " missing from " << line;
   EXPECT_EQ(line.front(), '{');
   EXPECT_EQ(line.back(), '}');

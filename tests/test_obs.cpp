@@ -307,7 +307,7 @@ TEST_F(ObsClusterFixture, ReplayTraceIsByteIdenticalAcrossFreshClusters) {
   cluster::AdmissionSchedule schedule;
   for (int i = 0; i < kRequests; ++i)
     schedule.push_back({0, static_cast<std::uint64_t>(i),
-                        static_cast<std::int64_t>(2 * i), kServiceUs, 0.0, false});
+                        static_cast<std::int64_t>(2 * i), kServiceUs, false});
   const std::vector<serve::AdvisorRequest> base = requests(kRequests);
 
   const auto run = [&]() {

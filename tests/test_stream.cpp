@@ -185,10 +185,11 @@ TEST(OrderedQueueTest, OneConsumersCoalescingWindowNeverHidesWorkFromAnother) {
 TEST(ScheduleIoTest, SaveLoadRoundTripsAndRejectsGarbage) {
   // Charges no short decimal represents: they must come back bit-exactly,
   // or a replay would charge a neighbouring double and could flip a shed.
-  AdmissionSchedule schedule = {{0, 0, 10, 0.1 + 0.2, 0.0, false},
-                                {1, 0, 12, 1.0 / 3.0, 1e-300, true},
-                                {0, 1, 15, 4.0, 123456.78901234567, false},
-                                {2, 7, -3, std::nextafter(24.0, 25.0), 5e-324, false}};
+  AdmissionSchedule schedule = {{0, 0, 10, 0.1 + 0.2, false},
+                                {1, 0, 12, 1.0 / 3.0, true},
+                                {0, 1, 15, 123456.78901234567, false},
+                                {2, 7, -3, std::nextafter(24.0, 25.0), false},
+                                {3, 2, 40, 5e-324, true}};
   std::ostringstream out;
   save_schedule(schedule, out);
 
@@ -203,27 +204,25 @@ TEST(ScheduleIoTest, SaveLoadRoundTripsAndRejectsGarbage) {
     EXPECT_EQ(loaded[i].t_us, schedule[i].t_us);
     EXPECT_EQ(std::memcmp(&loaded[i].service_us, &schedule[i].service_us, sizeof(double)), 0)
         << "record " << i << " service_us";
-    EXPECT_EQ(std::memcmp(&loaded[i].wait_us, &schedule[i].wait_us, sizeof(double)), 0)
-        << "record " << i << " wait_us";
     EXPECT_EQ(loaded[i].hit, schedule[i].hit);
   }
 
   // Each malformed line is refused with its line number (comments and
   // blank lines count); there is one format and no fallback reader.
-  const std::string good = "# header\n0 0 10 4 0 0\n\n";
+  const std::string good = "# header\n0 0 10 4 0\n\n";
   const struct {
     const char* line;
     const char* why;
   } bad[] = {
       {"0 1 10", "three-field line"},
+      {"0 1 10 4 0 0", "six-field line (the retired WAIT_US column)"},
       {"not a record", "garbage"},
-      {"0 1 10 -4 0 0", "negative service charge"},
-      {"0 1 10 4 -0.5 0", "negative queue-wait charge"},
-      {"0 1 10 nan 0 0", "non-finite charge"},
-      {"0 1 10 4 0 2", "bad hit token"},
-      {"0 1 10 4 0 yes", "bad hit token"},
-      {"0 1 10 4 0 0 9", "trailing field"},
-      {"0 1 10x 4 0 0", "partially numeric field"},
+      {"0 1 10 -4 0", "negative service charge"},
+      {"0 1 10 nan 0", "non-finite charge"},
+      {"0 1 10 4 2", "bad hit token"},
+      {"0 1 10 4 yes", "bad hit token"},
+      {"0 1 10 4 0 9 9", "trailing fields"},
+      {"0 1 10x 4 0", "partially numeric field"},
   };
   for (const auto& b : bad) {
     SCOPED_TRACE(b.why);
@@ -333,21 +332,24 @@ TEST_F(StreamFixture, ReplayReproducesConcurrentProducersByteIdentically) {
 }
 
 TEST_F(StreamFixture, ReplayReproducesRecordedShedsAndCacheHits) {
-  // Seeded concurrent producers over a small key pool (half of it warmed,
-  // so the cache hits), each request drawing a deadline from a ladder
-  // whose tight end sheds.
-  // The recorded run's shed checks read the workers' MEASURED service and
-  // queue-wait estimates and its own cache state; a replay of its schedule
-  // on a fresh cluster must reproduce every response byte for byte — the
-  // sheds (estimate included) as well as the answers.
+  // Seeded concurrent producers over a 64-key pool (8 keys warmed, so the
+  // cache hits), each request drawing a deadline from a ladder whose tight
+  // end sheds. Only queued work sheds — a request is charged the backlog
+  // ahead of it plus its own service time — so the pool is large enough
+  // that most requests miss the cache and build a backlog.
+  // The recorded run's shed checks read the workers' MEASURED service
+  // estimate and its own cache state; a replay of its schedule on a fresh
+  // cluster must reproduce every response byte for byte — the sheds
+  // (estimate included) as well as the answers — and report the recorded
+  // run's cache counters, although it never probes its own cache.
   constexpr int kStreams = 4;
-  constexpr int kPerStream = 60;
+  constexpr int kPerStream = 120;
   constexpr long kDeadlines[] = {0, 1, 5, 20, 60, 200, 1000};
   constexpr int kLadder = static_cast<int>(sizeof(kDeadlines) / sizeof(kDeadlines[0]));
-  const std::vector<AdvisorRequest> pool = stream_requests(0, 16);
+  const std::vector<AdvisorRequest> pool = stream_requests(0, 64);
   // Served first (stream 0, no deadlines, closed before the producers
   // start), so these keys hit from then on whatever the interleaving; the
-  // other half of the pool misses until evaluated and can shed.
+  // rest of the pool misses until evaluated and can shed.
   const std::vector<AdvisorRequest> warm(pool.begin(), pool.begin() + 8);
   Rng rng(hash_seed(0x5EC0Dull, 15));
   std::vector<std::vector<AdvisorRequest>> workload(kStreams);
@@ -389,10 +391,75 @@ TEST_F(StreamFixture, ReplayReproducesRecordedShedsAndCacheHits) {
       EXPECT_GT(shed, 0);  // the tight deadlines really shed
       EXPECT_EQ(recorder.metrics().shed_queries, shed);
       EXPECT_EQ(replayer.metrics().shed_queries, shed);
+      const ClusterMetrics recorded_m = recorder.metrics();
+      const ClusterMetrics replayed_m = replayer.metrics();
+      EXPECT_EQ(replayed_m.cache_lookups, recorded_m.cache_lookups);
+      EXPECT_EQ(replayed_m.cache_hits, recorded_m.cache_hits);
       if (cache_entries > 0) {
-        EXPECT_GT(recorder.metrics().cache_hits, 0);
+        EXPECT_GT(recorded_m.cache_hits, 0);
       }
     }
+}
+
+TEST_F(StreamFixture, FirstQueryFitDoesNotShedLaterPacedRequests) {
+  // A fresh cluster on its own registry, so its first query really fits.
+  // Every later request arrives alone, long after the one before it
+  // completed: the queue is empty, so a deadline far above the service
+  // charge must admit it, however long the calibration fit took.
+  ServingCluster cluster(stream_config(1, 0));
+  const std::vector<AdvisorRequest> requests = stream_requests(4, 21);
+  const auto begin = std::chrono::steady_clock::now();
+  ASSERT_TRUE(cluster.serve_batch({requests[0]})[0].ok());
+  const double first_query_us =
+      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - begin)
+          .count();
+  ASSERT_EQ(cluster.metrics().lazy_fits, 1);
+  const long deadline_us = static_cast<long>(first_query_us / 20.0);
+  // The live service charge is an EWMA of per-batch means, each at most
+  // its batch's largest per-item share, so this bounds it from above.
+  const double charge_bound_us =
+      std::max(kInitialServiceUs, cluster.metrics().service.max_us());
+  ASSERT_GE(static_cast<double>(deadline_us), 10.0 * charge_bound_us)
+      << "first query " << first_query_us << " us";
+
+  long shed = 0;
+  for (std::size_t i = 1; i < requests.size(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    AdvisorRequest req = requests[i];
+    req.deadline_us = deadline_us;
+    StreamSession session = cluster.open_stream();
+    session.submit(req);
+    const std::vector<AdvisorResponse> got = session.close();
+    ASSERT_EQ(got.size(), 1u);
+    if (got[0].shed()) {
+      ++shed;
+      ADD_FAILURE() << "request " << i << ": " << got[0].error << " (first query "
+                    << first_query_us << " us)";
+    }
+  }
+  EXPECT_EQ(shed, 0);
+  EXPECT_EQ(cluster.metrics().shed_queries, 0);
+}
+
+TEST_F(StreamFixture, LazyFitIsNeverAQueueWaitSample) {
+  // The first query's calibration fit runs before its admission clock
+  // starts: the stall shows up as lazy_fit_ms, not in the queue-wait
+  // histogram.
+  ServingCluster cluster(stream_config(1, 0));
+  const auto begin = std::chrono::steady_clock::now();
+  for (const AdvisorResponse& r : cluster.serve_batch(stream_requests(5, 8)))
+    EXPECT_TRUE(r.ok()) << r.error;
+  const double batch_us =
+      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - begin)
+          .count();
+  const ClusterMetrics m = cluster.metrics();
+  ASSERT_EQ(m.lazy_fits, 1);
+  const double fit_us = m.lazy_fit_ms * 1000.0;
+  EXPECT_GT(fit_us, 0.0);
+  EXPECT_LE(fit_us, batch_us);
+  EXPECT_EQ(m.queue_wait.count(), 8u);
+  EXPECT_LT(m.queue_wait.percentile_us(99.9), fit_us);
+  EXPECT_NE(m.to_jsonl().find("\"lazy_fit_ms\":"), std::string::npos);
 }
 
 TEST_F(StreamFixture, PriorityFloodDoesNotStarveOrDropUrgentWork) {
@@ -447,7 +514,7 @@ TEST_F(StreamFixture, ShedUnderReplayedOverloadIsDeterministicAndBounded) {
   schedule.reserve(kRequests);
   for (int i = 0; i < kRequests; ++i)
     schedule.push_back({0, static_cast<std::uint64_t>(i),
-                        static_cast<std::int64_t>(2 * i), kServiceUs, 0.0, false});
+                        static_cast<std::int64_t>(2 * i), kServiceUs, false});
 
   const std::vector<AdvisorRequest> base = stream_requests(2, kRequests);
   const auto run_replay = [&schedule, &base]() {
