@@ -211,7 +211,8 @@ bool ServingCluster::ensure_corpus_resident(std::size_t idx) {
     }
   }
   // The stall stays visible without entering any request's latency:
-  // lazy_fit_ms on the metrics line, and a live lazy-fit span.
+  // lazy_fit_ms on the metrics line, and a live lazy-fit span. A fit that
+  // ends in kFitFailed stalls admission just the same, so it counts too.
   const auto fit_end = std::chrono::steady_clock::now();
   lazy_fit_us_.fetch_add(
       std::chrono::duration_cast<std::chrono::microseconds>(fit_end - fit_begin).count(),

@@ -417,7 +417,7 @@ class ServingCluster {
   bool refit_busy_ = false;
   bool refit_stop_ = false;
   std::atomic<long> lazy_fits_{0};
-  std::atomic<long> lazy_fit_us_{0};  // wall time spent in lazy fits
+  std::atomic<long> lazy_fit_us_{0};  // wall time of first-touch fits, failed ones too
   std::atomic<long> epoch_invalidations_{0};
 
   // Fault-tolerance state. health_ is written by the watchdog only and

@@ -45,8 +45,9 @@ struct ClusterMetrics {
   // Live recalibration: the current bundle epoch per configured corpus
   // (cluster-config order; 0 = not yet resident under lazy fitting, 1 =
   // initial fit, +1 per refit), refits completed, corpora fitted lazily on
-  // first query, the wall time those lazy fits took (milliseconds; a
-  // request's latency never includes it), and response-cache entries
+  // first query, the wall time of every first-touch fit attempt
+  // (milliseconds; failed fits included — they stall admission the same;
+  // a request's latency never includes it), and response-cache entries
   // evicted by epoch-scoped invalidation sweeps after refit swaps.
   std::vector<std::pair<std::string, std::uint64_t>> bundle_epoch;
   long refits = 0;
