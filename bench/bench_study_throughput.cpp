@@ -1,14 +1,18 @@
 // Study-harness throughput: runs one fixed §5.4 study configuration twice —
 // serially (threads=1) and across the whole machine (ISR_THREADS or all
 // hardware threads) — verifies the two corpora are bit-identical, and
-// reports observations/sec plus the parallel speedup.
+// reports observations/sec plus the parallel speedup, and the serial run's
+// wall time by stage: scene generation, render (first-arch renders plus
+// the other archs' kernel-tape replays) and composite, with the number of
+// renderer runs executed on the host.
 //
 // The final line is machine-readable JSON (prefix "JSON ") so CI can track
 // the perf trajectory across PRs:
 //   JSON {"bench":"study_throughput","observations":...,"threads":...,
 //         "serial_seconds":...,"parallel_seconds":...,"speedup":...,
 //         "obs_per_sec_serial":...,"obs_per_sec_parallel":...,
-//         "identical":true}
+//         "scene_seconds":...,"render_seconds":...,"composite_seconds":...,
+//         "host_renders":...,"identical":true}
 // Exits nonzero when the parallel corpus diverges from the serial one.
 #include <chrono>
 #include <cstdio>
@@ -40,11 +44,12 @@ model::StudyConfig fixed_config() {
   return cfg;
 }
 
-double run_once(int threads, std::vector<model::Observation>& obs) {
+double run_once(int threads, std::vector<model::Observation>& obs,
+                model::StudyStats* stats = nullptr) {
   model::StudyConfig cfg = fixed_config();
   cfg.threads = threads;
   const auto start = std::chrono::steady_clock::now();
-  obs = model::run_study(cfg);
+  obs = model::run_study(cfg, /*verbose=*/false, stats);
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
@@ -72,7 +77,8 @@ int main() {
     std::vector<model::Observation> warmup;
     run_once(0, warmup);
   }
-  const double t_serial = run_once(1, serial_obs);
+  model::StudyStats stages;  // serial run: the stages add up to its wall time
+  const double t_serial = run_once(1, serial_obs, &stages);
   const double t_parallel = run_once(0, parallel_obs);
   const bool same = identical(serial_obs, parallel_obs);
 
@@ -84,12 +90,18 @@ int main() {
   std::printf("%-22s %10d %12.3f %10.2f\n", "parallel", threads, t_parallel, n / t_parallel);
   std::printf("\n%zu observations; speedup %.2fx; corpora bit-identical: %s\n",
               serial_obs.size(), speedup, same ? "yes" : "NO (BUG)");
+  std::printf("serial stages: scene %.3fs, render %.3fs (%zu host renders), composite %.3fs\n",
+              stages.scene_seconds, stages.render_seconds, stages.host_renders,
+              stages.composite_seconds);
 
   std::printf(
       "JSON {\"bench\":\"study_throughput\",\"observations\":%zu,\"threads\":%d,"
       "\"serial_seconds\":%.6f,\"parallel_seconds\":%.6f,\"speedup\":%.3f,"
-      "\"obs_per_sec_serial\":%.3f,\"obs_per_sec_parallel\":%.3f,\"identical\":%s}\n",
+      "\"obs_per_sec_serial\":%.3f,\"obs_per_sec_parallel\":%.3f,"
+      "\"scene_seconds\":%.6f,\"render_seconds\":%.6f,\"composite_seconds\":%.6f,"
+      "\"host_renders\":%zu,\"identical\":%s}\n",
       serial_obs.size(), threads, t_serial, t_parallel, speedup, n / t_serial,
-      n / t_parallel, same ? "true" : "false");
+      n / t_parallel, stages.scene_seconds, stages.render_seconds, stages.composite_seconds,
+      stages.host_renders, same ? "true" : "false");
   return same ? 0 : 1;
 }

@@ -8,34 +8,15 @@
 
 namespace isr::cluster {
 
-namespace {
-
-// Nearest rank over an already-sorted sample vector (1-based rank,
-// ceil(p/100 * n)); the shared kernel of percentile()/percentiles().
-double sorted_percentile(const std::vector<double>& sorted, double p) {
-  if (p <= 0.0) return sorted.front();
-  if (p >= 100.0) return sorted.back();
-  const std::size_t rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
-  return sorted[rank > 0 ? rank - 1 : 0];
-}
-
-}  // namespace
-
+// Nearest rank: the 1-based rank ceil(p/100 * n) of the sorted samples.
 double percentile(std::vector<double> samples, double p) {
   if (samples.empty()) return 0.0;
   std::sort(samples.begin(), samples.end());
-  return sorted_percentile(samples, p);
-}
-
-std::vector<double> percentiles(std::vector<double>& samples,
-                                const std::vector<double>& ps) {
-  std::vector<double> out(ps.size(), 0.0);
-  if (samples.empty()) return out;
-  std::sort(samples.begin(), samples.end());
-  for (std::size_t i = 0; i < ps.size(); ++i)
-    out[i] = sorted_percentile(samples, ps[i]);
-  return out;
+  if (p <= 0.0) return samples.front();
+  if (p >= 100.0) return samples.back();
+  const std::size_t rank = static_cast<std::size_t>(
+      std::ceil(p / 100.0 * static_cast<double>(samples.size())));
+  return samples[rank > 0 ? rank - 1 : 0];
 }
 
 std::string ClusterMetrics::to_jsonl() const {

@@ -17,16 +17,9 @@
 namespace isr::cluster {
 
 // Nearest-rank percentile of `samples` (copied and sorted internally);
-// p in [0, 100]. Returns 0 for an empty sample set. For more than one
-// percentile over the same samples, prefer percentiles() — one sort.
+// p in [0, 100], p <= 0 -> min, p >= 100 -> max. Returns 0 for an empty
+// sample set.
 double percentile(std::vector<double> samples, double p);
-
-// All requested percentiles in one pass: sorts `samples` once (in place),
-// then answers each p by nearest rank. Results align with `ps`; an empty
-// sample set yields all zeros. Matches percentile()'s conventions
-// (p <= 0 -> min, p >= 100 -> max).
-std::vector<double> percentiles(std::vector<double>& samples,
-                                const std::vector<double>& ps);
 
 // "shards" counts the workers draining the cluster's one queue; the
 // per-shard fields below are per worker.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <thread>
 
 #ifdef ISR_HAVE_OPENMP
@@ -74,9 +75,22 @@ double Device::model_kernel_seconds(std::size_t n, const KernelCost& cost) {
 }
 
 void Device::record_kernel(std::size_t n, const KernelCost& cost, double wall_seconds) {
-  const double seconds =
-      profile_.simulated ? model_kernel_seconds(n, cost) : wall_seconds;
-  PhaseRecord& rec = log_.phases[current_phase()];
+  if (tape_) tape_->push_back(KernelRecord{current_phase(), n, cost});
+  charge(current_phase(), n, cost,
+         profile_.simulated ? model_kernel_seconds(n, cost) : wall_seconds);
+}
+
+void Device::replay(const KernelTape& tape) {
+  if (!profile_.simulated)
+    throw std::logic_error("Device::replay: " + profile_.name +
+                           " is a wall-clock device and must run its kernels");
+  for (const KernelRecord& k : tape)
+    charge(k.phase, k.n, k.cost, model_kernel_seconds(k.n, k.cost));
+}
+
+void Device::charge(const std::string& phase, std::size_t n, const KernelCost& cost,
+                    double seconds) {
+  PhaseRecord& rec = log_.phases[phase];
   rec.seconds += seconds;
   rec.est_ops += static_cast<double>(n) * cost.flops_per_elem;
   rec.est_bytes += static_cast<double>(n) * cost.bytes_per_elem;

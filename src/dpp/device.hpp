@@ -56,6 +56,16 @@ struct PhaseRecord {
   std::size_t kernels = 0;
 };
 
+// One record_kernel call as a simulated device charges it: the phase it
+// ran in, its element count and its cost annotation. A tape of these
+// re-derives the call's simulated time on any profile (Device::replay).
+struct KernelRecord {
+  std::string phase;
+  std::size_t n = 0;
+  KernelCost cost;
+};
+using KernelTape = std::vector<KernelRecord>;
+
 struct TimingLog {
   std::map<std::string, PhaseRecord> phases;
 
@@ -104,15 +114,30 @@ class Device {
   // with the cost model.
   void record_kernel(std::size_t n, const KernelCost& cost, double wall_seconds);
 
+  // While a tape is set, every record_kernel call is also appended to it;
+  // nullptr stops taping. The tape must outlive the calls it records.
+  void set_tape(KernelTape* tape) { tape_ = tape; }
+
+  // Charges every kernel of `tape` in order, exactly as record_kernel
+  // would have: same phases, same jitter draws. Replaying a tape on a fresh
+  // Device::simulated(Q, seed) therefore yields the TimingLog that running
+  // the taped kernels on that device would. Simulated devices only: a
+  // wall-clock device must run its kernels (throws std::logic_error).
+  void replay(const KernelTape& tape);
+
   // Simulated time for a kernel without executing it (used by the virtual
   // MPI layer for per-rank local work it does not replay).
   double model_kernel_seconds(std::size_t n, const KernelCost& cost);
 
  private:
+  void charge(const std::string& phase, std::size_t n, const KernelCost& cost,
+              double seconds);
+
   DeviceProfile profile_;
   TimingLog log_;
   std::vector<std::string> phase_stack_;
   Rng jitter_;
+  KernelTape* tape_ = nullptr;
 };
 
 // RAII phase scope: `ScopedPhase p(dev, "sampling");`

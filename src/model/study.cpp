@@ -9,6 +9,7 @@
 #include "core/parallel_for.hpp"
 #include "core/thread_pool.hpp"
 #include "dpp/profiles.hpp"
+#include "dpp/timer.hpp"
 #include "math/camera.hpp"
 #include "math/colormap.hpp"
 #include "math/rng.hpp"
@@ -98,8 +99,10 @@ std::vector<RankData> generate_rank_data(const std::string& sim, int tasks, int 
   return ranks;
 }
 
-// One point of the (sim, tasks, sample) grid: generates rank data once and
-// renders every arch x renderer combination on it.
+// One point of the (sim, tasks, sample) grid: generates rank data once,
+// renders each of its renderers once and derives every arch's observation
+// from that render. Its observation slots are [first_slot, first_slot +
+// archs * kinds.size()), arch-major (grid order).
 struct Job {
   std::size_t sim = 0;  // index into config.sims
   int tasks = 1;
@@ -107,15 +110,8 @@ struct Job {
   int image = 0;            // stratified-jittered image edge
   int n = 0;                // stratified-jittered per-task N
   std::uint64_t hash = 0;   // hash_seed(seed, sim, tasks, sample)
-  std::size_t first_combo = 0;
-  std::size_t combo_count = 0;
-};
-
-// One observation slot: an (arch, renderer) pair within a Job. A combo's
-// index in the flat vector IS its observation slot (grid order).
-struct Combo {
-  std::size_t arch = 0;  // index into config.archs
-  std::size_t kind = 0;  // index into config.renderers
+  std::size_t first_slot = 0;
+  std::vector<std::size_t> kinds;  // indices into config.renderers
 };
 
 }  // namespace
@@ -159,14 +155,15 @@ std::vector<CompositeSample> composite_samples(const std::vector<Observation>& o
 
 double study_scale_from_env() { return core::env_double("ISR_STUDY_SCALE", 1.0); }
 
-std::vector<Observation> run_study(const StudyConfig& config, bool verbose) {
+std::vector<Observation> run_study(const StudyConfig& config, bool verbose,
+                                   StudyStats* stats) {
   // ---- Enumerate the whole grid up front. -------------------------------
   // Each job's stratified jitter and every Device seed derive from
   // hash_seed over the grid coordinate, so the corpus is a pure function
   // of the config — bit-identical at any thread count and in any
   // execution order.
   std::vector<Job> jobs;
-  std::vector<Combo> combos;
+  std::size_t slots = 0;
   jobs.reserve(config.sims.size() * config.tasks.size() *
                static_cast<std::size_t>(config.samples_per_config));
   for (std::size_t si = 0; si < config.sims.size(); ++si) {
@@ -195,88 +192,117 @@ std::vector<Observation> run_study(const StudyConfig& config, bool verbose) {
             static_cast<int>(stratum * static_cast<double>(config.max_image - config.min_image));
         job.n = config.min_n +
                 static_cast<int>(stratum_n * static_cast<double>(config.max_n - config.min_n));
-        job.first_combo = combos.size();
-        for (std::size_t ai = 0; ai < config.archs.size(); ++ai)
-          for (std::size_t ki = 0; ki < config.renderers.size(); ++ki) {
-            if (config.renderers[ki] == RendererKind::kVolume && !has_grid) continue;
-            combos.push_back(Combo{ai, ki});
-          }
-        job.combo_count = combos.size() - job.first_combo;
-        jobs.push_back(job);
+        for (std::size_t ki = 0; ki < config.renderers.size(); ++ki)
+          if (config.renderers[ki] != RendererKind::kVolume || has_grid) job.kinds.push_back(ki);
+        job.first_slot = slots;
+        slots += config.archs.size() * job.kinds.size();
+        jobs.push_back(std::move(job));
       }
     }
   }
 
+  // Every arch is a simulated device, so only the first one renders: the
+  // rest re-derive their times by replaying its kernel tape (see
+  // render_rank). A wall-clock arch could not be replayed; Device::replay
+  // refuses it.
+  std::vector<dpp::DeviceProfile> profiles;
+  for (const std::string& arch : config.archs) profiles.push_back(dpp::profile_by_name(arch));
+
   // Pre-sized slots: jobs write disjoint ranges, so the hot path takes no
   // locks; slot order is the serial harness's grid order.
-  std::vector<Observation> observations(combos.size());
-  std::vector<std::string> lines(verbose ? combos.size() : 0);
+  std::vector<Observation> observations(slots);
+  if (stats) *stats = StudyStats{};
+  if (slots == 0) return observations;  // no arch or no renderer: nothing to render
+  std::vector<std::string> lines(verbose ? slots : 0);
+  std::vector<StudyStats> job_stats(jobs.size());
 
   core::ThreadPool pool(config.threads);
 
   const auto run_job = [&](std::size_t ji) {
     const Job& job = jobs[ji];
+    StudyStats& js = job_stats[ji];
     const std::string& sim = config.sims[job.sim];
+    const std::size_t tasks = static_cast<std::size_t>(job.tasks);
+    dpp::WallTimer stage;
     const std::vector<RankData> ranks =
         generate_rank_data(sim, job.tasks, job.n, config.sim_steps, pool);
+    js.scene_seconds += stage.seconds();
     AABB global_bounds;
     for (const RankData& rd : ranks) global_bounds.expand(rd.bounds);
     const Camera camera = Camera::framing(global_bounds, job.image, job.image, 0.8f);
     const ColorTable colors = ColorTable::cool_warm();
     const TransferFunction tf(colors, 0.05f, 0.3f);
 
-    for (std::size_t c = job.first_combo; c < job.first_combo + job.combo_count; ++c) {
-      const Combo& combo = combos[c];
-      const std::string& arch = config.archs[combo.arch];
-      const RendererKind kind = config.renderers[combo.kind];
+    for (std::size_t k = 0; k < job.kinds.size(); ++k) {
+      const RendererKind kind = config.renderers[job.kinds[k]];
 
-      std::vector<comm::RankImage> images(static_cast<std::size_t>(job.tasks));
-      std::vector<RenderSample> rank_samples(static_cast<std::size_t>(job.tasks));
+      std::vector<comm::RankImage> images(tasks);
+      // rank_samples[a * tasks + r]: rank r's sample on arch a.
+      std::vector<RenderSample> rank_samples(profiles.size() * tasks);
 
       const auto render_rank = [&](std::size_t r) {
         const RankData& rd = ranks[r];
-        // Each rank gets its own simulated Device whose jitter seed is a
-        // function of the grid coordinate and rank — never of how many
-        // renders ran before it.
-        dpp::Device dev = dpp::Device::simulated(
-            dpp::profile_by_name(arch),
-            hash_seed(job.hash, arch, static_cast<std::uint64_t>(kind), r));
+        // Each (arch, rank) Device's jitter seed is a function of the grid
+        // coordinate and rank — never of how many renders ran before it.
+        const auto device = [&](std::size_t a) {
+          return dpp::Device::simulated(
+              profiles[a],
+              hash_seed(job.hash, config.archs[a], static_cast<std::uint64_t>(kind), r));
+        };
+        dpp::Device dev = device(0);
+        // The BVH build and the render are separate tapes because the ray
+        // tracer resets its timings between them.
+        dpp::KernelTape build_tape, render_tape;
+        dev.set_tape(&build_tape);
         render::Image& img = images[r].image;
         images[r].view_depth = length(rd.bounds.center() - camera.position);
-        render::RenderStats stats;
+        render::RenderStats rstats;
         double build_seconds = 0.0;
 
         if (kind == RendererKind::kRayTrace) {
           render::RayTracer rt(rd.surface, dev);
           build_seconds = rt.bvh_build_stats().total_seconds();
-          stats = rt.render(camera, colors, img);
+          dev.set_tape(&render_tape);
+          rstats = rt.render(camera, colors, img);
         } else if (kind == RendererKind::kRasterize) {
           render::Rasterizer rast(rd.surface, dev);
-          stats = rast.render(camera, colors, img);
+          dev.set_tape(&render_tape);
+          rstats = rast.render(camera, colors, img);
         } else {
           render::StructuredVolumeRenderer vr(rd.grid, dev);
           render::VolumeRenderOptions opt;
           opt.samples = config.vr_samples;
-          stats = vr.render(camera, tf, img, opt);
+          dev.set_tape(&render_tape);
+          rstats = vr.render(camera, tf, img, opt);
         }
 
-        RenderSample& sample = rank_samples[r];
-        sample.inputs = {stats.objects,         stats.active_pixels,
-                         stats.visible_objects, stats.pixels_per_tri,
-                         stats.samples_per_ray, stats.cells_spanned};
+        RenderSample sample;
+        sample.inputs = {rstats.objects,         rstats.active_pixels,
+                         rstats.visible_objects, rstats.pixels_per_tri,
+                         rstats.samples_per_ray, rstats.cells_spanned};
         sample.build_seconds = build_seconds;
-        sample.render_seconds = stats.total_seconds();
-      };
-      if (job.tasks >= kRankFanout && pool.size() > 1)
-        core::parallel_for(pool, static_cast<std::size_t>(job.tasks), render_rank);
-      else
-        for (int r = 0; r < job.tasks; ++r) render_rank(static_cast<std::size_t>(r));
+        sample.render_seconds = rstats.total_seconds();
+        rank_samples[r] = sample;
 
-      // Slowest-rank reduction in rank order (ties keep the later rank,
-      // matching the serial harness).
-      RenderSample slowest;
-      for (const RenderSample& sample : rank_samples)
-        if (sample.total_seconds() >= slowest.total_seconds()) slowest = sample;
+        // Every other arch charges the same kernels in the same order with
+        // its own seed: the times a render on it would have reported.
+        for (std::size_t a = 1; a < profiles.size(); ++a) {
+          dpp::Device replayed = device(a);
+          replayed.replay(build_tape);
+          sample.build_seconds = replayed.timings().total_seconds();
+          replayed.reset_timings();
+          replayed.replay(render_tape);
+          sample.render_seconds = replayed.timings().total_seconds();
+          rank_samples[a * tasks + r] = sample;
+        }
+      };
+      stage.reset();
+      if (job.tasks >= kRankFanout && pool.size() > 1)
+        core::parallel_for(pool, tasks, render_rank);
+      else
+        for (std::size_t r = 0; r < tasks; ++r) render_rank(r);
+      js.render_seconds += stage.seconds();
+      js.host_renders += tasks;
 
       comm::Comm comm(job.tasks);
       const comm::CompositeMode mode = kind == RendererKind::kVolume
@@ -284,36 +310,51 @@ std::vector<Observation> run_study(const StudyConfig& config, bool verbose) {
                                            : comm::CompositeMode::kSurface;
       // The per-round blend fan-out nests on the study pool (idle workers
       // drain it); blends fold in a fixed order, so the corpus stays
-      // bit-identical at any thread count.
+      // bit-identical at any thread count. The images do not depend on the
+      // arch, so one composite serves every arch's observation.
+      stage.reset();
       const comm::CompositeResult comp = comm::composite(
           comm, images, mode, comm::CompositeAlgorithm::kRadixK, /*radix=*/8, &pool);
+      js.composite_seconds += stage.seconds();
 
-      Observation& obs = observations[c];
-      obs.arch = arch;
-      obs.renderer = kind;
-      obs.sim = sim;
-      obs.tasks = job.tasks;
-      obs.image_size = job.image;
-      obs.n_per_task = job.n;
-      obs.sample = slowest;
-      obs.avg_active_pixels = comp.avg_active_pixels;
-      obs.composite_seconds = comp.simulated_seconds;
-      obs.total_seconds = slowest.total_seconds() + comp.simulated_seconds;
+      for (std::size_t a = 0; a < profiles.size(); ++a) {
+        const std::string& arch = config.archs[a];
+        // Slowest-rank reduction in rank order (ties keep the later rank,
+        // matching the serial harness).
+        RenderSample slowest;
+        for (std::size_t r = 0; r < tasks; ++r) {
+          const RenderSample& sample = rank_samples[a * tasks + r];
+          if (sample.total_seconds() >= slowest.total_seconds()) slowest = sample;
+        }
 
-      if (verbose) {
-        const char* fmt =
-            "study %-10s %-13s %-5s tasks=%-3d img=%-4d n=%-3d local=%.4fs comp=%.4fs\n";
-        // Two-pass snprintf: sims/archs are arbitrary strings, so the line
-        // length is unbounded and a fixed buffer could truncate.
-        const int len =
-            std::snprintf(nullptr, 0, fmt, sim.c_str(), renderer_name(kind), arch.c_str(),
-                          job.tasks, job.image, job.n, slowest.total_seconds(),
-                          comp.simulated_seconds);
-        std::string line(static_cast<std::size_t>(len > 0 ? len : 0), '\0');
-        std::snprintf(&line[0], line.size() + 1, fmt, sim.c_str(), renderer_name(kind),
-                      arch.c_str(), job.tasks, job.image, job.n, slowest.total_seconds(),
-                      comp.simulated_seconds);
-        lines[c] = std::move(line);
+        const std::size_t slot = job.first_slot + a * job.kinds.size() + k;
+        Observation& obs = observations[slot];
+        obs.arch = arch;
+        obs.renderer = kind;
+        obs.sim = sim;
+        obs.tasks = job.tasks;
+        obs.image_size = job.image;
+        obs.n_per_task = job.n;
+        obs.sample = slowest;
+        obs.avg_active_pixels = comp.avg_active_pixels;
+        obs.composite_seconds = comp.simulated_seconds;
+        obs.total_seconds = slowest.total_seconds() + comp.simulated_seconds;
+
+        if (verbose) {
+          const char* fmt =
+              "study %-10s %-13s %-5s tasks=%-3d img=%-4d n=%-3d local=%.4fs comp=%.4fs\n";
+          // Two-pass snprintf: sims/archs are arbitrary strings, so the line
+          // length is unbounded and a fixed buffer could truncate.
+          const int len =
+              std::snprintf(nullptr, 0, fmt, sim.c_str(), renderer_name(kind), arch.c_str(),
+                            job.tasks, job.image, job.n, slowest.total_seconds(),
+                            comp.simulated_seconds);
+          std::string line(static_cast<std::size_t>(len > 0 ? len : 0), '\0');
+          std::snprintf(&line[0], line.size() + 1, fmt, sim.c_str(), renderer_name(kind),
+                        arch.c_str(), job.tasks, job.image, job.n, slowest.total_seconds(),
+                        comp.simulated_seconds);
+          lines[slot] = std::move(line);
+        }
       }
     }
   };
@@ -324,6 +365,13 @@ std::vector<Observation> run_study(const StudyConfig& config, bool verbose) {
   if (verbose)
     for (const std::string& line : lines) std::fputs(line.c_str(), stdout);
 
+  if (stats)
+    for (const StudyStats& js : job_stats) {
+      stats->scene_seconds += js.scene_seconds;
+      stats->render_seconds += js.render_seconds;
+      stats->composite_seconds += js.composite_seconds;
+      stats->host_renders += js.host_renders;
+    }
   return observations;
 }
 

@@ -11,6 +11,7 @@
 // larger corpora.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -55,11 +56,27 @@ struct Observation {
   double total_seconds = 0;     // max local + composite (Eq. 5.4 measured)
 };
 
-// Runs the study across config.threads pool workers (src/core/). With
-// verbose=true, per-observation lines are buffered and printed in
+// Where one run_study call spent its wall time, summed over jobs (so at
+// threads > 1 the stages can add up to more than the elapsed time). Wall
+// clock, so not part of the determinism contract.
+struct StudyStats {
+  double scene_seconds = 0;      // proxy sims stepped, rank data extracted
+  double render_seconds = 0;     // first-arch renders plus the other archs' tape replays
+  double composite_seconds = 0;  // radix-k, once per (job, renderer)
+  std::size_t host_renders = 0;  // renderer runs on the host: jobs x renderers x ranks
+};
+
+// Runs the study across config.threads pool workers (src/core/). Each
+// (job, renderer, rank) is rendered once, on the first arch's simulated
+// device; every other arch's times are re-derived by replaying that
+// render's kernel tape through a device of its own profile and jitter
+// seed (dpp::Device::replay), which reproduces a render on it bit for bit.
+// With verbose=true, per-observation lines are buffered and printed in
 // deterministic grid order (sims x tasks x samples x archs x renderers)
-// regardless of execution order.
-std::vector<Observation> run_study(const StudyConfig& config, bool verbose = false);
+// regardless of execution order. `stats`, when given, receives the
+// per-stage wall times.
+std::vector<Observation> run_study(const StudyConfig& config, bool verbose = false,
+                                   StudyStats* stats = nullptr);
 
 // Exact equality of two observations, every field — the determinism
 // contract run_study guarantees across thread counts. The single source of

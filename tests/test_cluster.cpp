@@ -602,23 +602,5 @@ TEST(PercentileTest, NearestRank) {
   EXPECT_DOUBLE_EQ(percentile(one, 100.0), 7.0);
 }
 
-TEST(PercentileTest, MultiPercentileMatchesRepeatedSingleCalls) {
-  // percentiles() sorts once and answers many; it must agree with the
-  // one-at-a-time API on every rank, keep results aligned with the ps
-  // order (unsorted ps included), and zero-fill on empty input.
-  std::vector<double> samples = {5.0, 1.0, 4.0, 2.0, 3.0, 9.0, 0.5};
-  const std::vector<double> reference = samples;  // percentile() copies; keep one
-  const std::vector<double> ps = {99.0, 0.0, 50.0, 100.0, 90.0, 10.0};
-  const std::vector<double> got = percentiles(samples, ps);
-  ASSERT_EQ(got.size(), ps.size());
-  for (std::size_t i = 0; i < ps.size(); ++i)
-    EXPECT_DOUBLE_EQ(got[i], percentile(reference, ps[i])) << "p" << ps[i];
-
-  std::vector<double> empty;
-  const std::vector<double> zeros = percentiles(empty, ps);
-  ASSERT_EQ(zeros.size(), ps.size());
-  for (const double z : zeros) EXPECT_DOUBLE_EQ(z, 0.0);
-}
-
 }  // namespace
 }  // namespace isr::cluster

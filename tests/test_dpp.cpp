@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "dpp/primitives.hpp"
@@ -250,6 +251,119 @@ TEST(Device, IpcEstimateIsFinite) {
   const double ipc = dev.timings().phase_ipc("k", dev.profile().clock_ghz);
   EXPECT_GT(ipc, 0.0);
   EXPECT_LT(ipc, 1000.0);
+}
+
+// --- Kernel tape ---------------------------------------------------------------
+
+// A build-then-render kernel sequence in the shape of RayTracer's: one tape
+// per side of the reset_timings boundary between them.
+void run_kernels(Device& dev, KernelTape* build_tape, KernelTape* render_tape,
+                 TimingLog& build_log) {
+  dev.set_tape(build_tape);
+  dev.reset_timings();
+  {
+    ScopedPhase p(dev, "bvh_build");
+    dev.record_kernel(5000, {.flops_per_elem = 20, .bytes_per_elem = 48, .divergence = 1.0}, 0.0);
+    dev.record_kernel(5000, {.flops_per_elem = 4, .bytes_per_elem = 16, .divergence = 1.0}, 0.0);
+  }
+  build_log = dev.timings();
+  dev.reset_timings();
+  dev.set_tape(render_tape);
+  {
+    ScopedPhase p(dev, "trace");
+    dev.record_kernel(65536, {.flops_per_elem = 96, .bytes_per_elem = 40, .divergence = 2.5}, 0.0);
+    {
+      ScopedPhase inner(dev, "shade");
+      dev.record_kernel(30000, {}, 0.0);
+    }
+    dev.record_kernel(1, {}, 0.0);
+  }
+  dev.record_kernel(4096, {.flops_per_elem = 1, .bytes_per_elem = 8, .divergence = 1.0}, 0.0);
+  dev.set_tape(nullptr);
+}
+
+// Replays the two tapes as the study does: build, reset, render.
+void replay_kernels(Device& dev, const KernelTape& build_tape, const KernelTape& render_tape,
+                    TimingLog& build_log) {
+  dev.replay(build_tape);
+  build_log = dev.timings();
+  dev.reset_timings();
+  dev.replay(render_tape);
+}
+
+void expect_same_log(const TimingLog& a, const TimingLog& b) {
+  ASSERT_EQ(a.phases.size(), b.phases.size());
+  for (const auto& [name, rec] : a.phases) {
+    ASSERT_EQ(b.phases.count(name), 1u) << name;
+    const PhaseRecord& other = b.phases.at(name);
+    EXPECT_EQ(rec.seconds, other.seconds) << name;  // bit-exact, not near
+    EXPECT_EQ(rec.est_ops, other.est_ops) << name;
+    EXPECT_EQ(rec.est_bytes, other.est_bytes) << name;
+    EXPECT_EQ(rec.kernels, other.kernels) << name;
+  }
+  EXPECT_EQ(a.total_seconds(), b.total_seconds());
+}
+
+TEST(KernelTape, RecordsEveryKernelWithItsPhase) {
+  Device dev = Device::simulated(profile_gpu1(), 7);
+  KernelTape build, render;
+  TimingLog build_log;
+  run_kernels(dev, &build, &render, build_log);
+  ASSERT_EQ(build.size(), 2u);
+  ASSERT_EQ(render.size(), 4u);
+  EXPECT_EQ(build[0].phase, "bvh_build");
+  EXPECT_EQ(render[1].phase, "shade");
+  EXPECT_EQ(render[2].phase, "trace");
+  EXPECT_EQ(render[3].phase, "other");
+  EXPECT_EQ(render[0].n, 65536u);
+  EXPECT_EQ(render[0].cost.divergence, 2.5);
+  // set_tape(nullptr) stops taping.
+  dev.record_kernel(10, {}, 0.0);
+  EXPECT_EQ(render.size(), 4u);
+}
+
+TEST(KernelTape, ReplayOnSameProfileAndSeedReproducesTheTimingLog) {
+  Device ran = Device::simulated(profile_cpu1(), 0xABCDu);
+  KernelTape build, render;
+  TimingLog ran_build;
+  run_kernels(ran, &build, &render, ran_build);
+
+  Device replayed = Device::simulated(profile_cpu1(), 0xABCDu);
+  TimingLog replayed_build;
+  replay_kernels(replayed, build, render, replayed_build);
+  expect_same_log(ran_build, replayed_build);
+  expect_same_log(ran.timings(), replayed.timings());
+}
+
+TEST(KernelTape, ReplayOnAnotherProfileEqualsRunningThere) {
+  // Tape on CPU1, replay on GPU1: the same as running the kernels on GPU1
+  // with GPU1's seed, so one render serves every simulated arch.
+  Device cpu = Device::simulated(profile_cpu1(), 11);
+  KernelTape build, render;
+  TimingLog cpu_build;
+  run_kernels(cpu, &build, &render, cpu_build);
+
+  Device gpu_ran = Device::simulated(profile_gpu1(), 22);
+  TimingLog gpu_ran_build;
+  run_kernels(gpu_ran, nullptr, nullptr, gpu_ran_build);
+
+  Device gpu_replayed = Device::simulated(profile_gpu1(), 22);
+  TimingLog gpu_replayed_build;
+  replay_kernels(gpu_replayed, build, render, gpu_replayed_build);
+  expect_same_log(gpu_ran_build, gpu_replayed_build);
+  expect_same_log(gpu_ran.timings(), gpu_replayed.timings());
+  // ...and the arch matters: GPU1's times are not CPU1's.
+  EXPECT_NE(gpu_replayed.timings().total_seconds(), cpu.timings().total_seconds());
+}
+
+TEST(KernelTape, WallClockDevicesRefuseReplay) {
+  Device sim = Device::simulated(profile_cpu1(), 3);
+  KernelTape build, render;
+  TimingLog log;
+  run_kernels(sim, &build, &render, log);
+  Device wall = Device::serial();
+  EXPECT_THROW(wall.replay(render), std::logic_error);
+  EXPECT_DOUBLE_EQ(wall.timings().total_seconds(), 0.0);
 }
 
 TEST(Profiles, AllNamedProfilesResolve) {

@@ -3,10 +3,13 @@
 // fit -> cross-validate -> predict holds together.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 
 #include "model/study.hpp"
+#include "serve/advisor.hpp"
 
 namespace isr::model {
 namespace {
@@ -207,6 +210,70 @@ TEST(StudyDeterminism, VerboseOutputKeepsGridOrderAtAnyThreadCount) {
     ++i;
   }
   EXPECT_EQ(i, serial.size());
+}
+
+// --- Golden corpus digests --------------------------------------------------
+
+// FNV-1a over the bit pattern of every Observation field (strings with
+// their length, doubles as their IEEE bits). The thread-count tests above
+// compare a build only with itself; these pinned values catch a change to
+// the corpus itself, for the service's default calibration and for the
+// determinism config (tasks=4 fan-out, lulesh's volume skip).
+class CorpusDigest {
+ public:
+  std::uint64_t value() const { return h_; }
+
+  void bytes(const void* p, std::size_t n) {
+    const unsigned char* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) h_ = (h_ ^ b[i]) * 0x100000001B3ull;
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
+  void f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    u64(bits);
+  }
+  void str(const std::string& s) {
+    u64(s.size());
+    bytes(s.data(), s.size());
+  }
+
+  void observation(const Observation& o) {
+    str(o.arch);
+    u64(static_cast<std::uint64_t>(o.renderer));
+    str(o.sim);
+    u64(static_cast<std::uint64_t>(o.tasks));
+    u64(static_cast<std::uint64_t>(o.image_size));
+    u64(static_cast<std::uint64_t>(o.n_per_task));
+    const ModelInputs& in = o.sample.inputs;
+    for (const double v : {in.objects, in.active_pixels, in.visible_objects, in.pixels_per_tri,
+                           in.samples_per_ray, in.cells_spanned, o.sample.build_seconds,
+                           o.sample.render_seconds, o.avg_active_pixels, o.composite_seconds,
+                           o.total_seconds})
+      f64(v);
+  }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ull;
+};
+
+std::uint64_t corpus_digest(const std::vector<Observation>& obs) {
+  CorpusDigest d;
+  d.u64(obs.size());
+  for (const Observation& o : obs) d.observation(o);
+  return d.value();
+}
+
+TEST(StudyGolden, DefaultCalibrationCorpusDigestIsPinned) {
+  const std::vector<Observation> obs = run_study(serve::default_calibration());
+  EXPECT_EQ(obs.size(), 54u);
+  EXPECT_EQ(corpus_digest(obs), 0xB18EAC062455D0FCull);
+}
+
+TEST(StudyGolden, DeterminismConfigCorpusDigestIsPinned) {
+  const std::vector<Observation> obs = run_study(determinism_config());
+  EXPECT_EQ(obs.size(), 40u);
+  EXPECT_EQ(corpus_digest(obs), 0x5416B90E621BA149ull);
 }
 
 }  // namespace
