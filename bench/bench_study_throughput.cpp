@@ -3,8 +3,10 @@
 // hardware threads) — verifies the two corpora are bit-identical, and
 // reports observations/sec plus the parallel speedup, and the serial run's
 // wall time by stage: scene generation, render (first-arch renders plus
-// the other archs' kernel-tape replays) and composite, with the number of
-// renderer runs executed on the host.
+// the other archs' kernel-tape replays; split by renderer, with the ray
+// tracer's BVH builds broken out) and composite, with the number of
+// renderer runs executed on the host, then the model fit over the serial
+// corpus (serve::fit_bundle, the service's calibration fit).
 //
 // The final line is machine-readable JSON (prefix "JSON ") so CI can track
 // the perf trajectory across PRs:
@@ -12,7 +14,9 @@
 //         "serial_seconds":...,"parallel_seconds":...,"speedup":...,
 //         "obs_per_sec_serial":...,"obs_per_sec_parallel":...,
 //         "scene_seconds":...,"render_seconds":...,"composite_seconds":...,
-//         "host_renders":...,"identical":true}
+//         "host_renders":...,"identical":true,"bvh_build_seconds":...,
+//         "rt_render_seconds":...,"rast_render_seconds":...,
+//         "vr_render_seconds":...,"fit_seconds":...}
 // Exits nonzero when the parallel corpus diverges from the serial one.
 #include <chrono>
 #include <cstdio>
@@ -20,7 +24,9 @@
 
 #include "common.hpp"
 #include "core/thread_pool.hpp"
+#include "dpp/timer.hpp"
 #include "model/study.hpp"
+#include "serve/registry.hpp"
 
 using namespace isr;
 
@@ -81,6 +87,9 @@ int main() {
   const double t_serial = run_once(1, serial_obs, &stages);
   const double t_parallel = run_once(0, parallel_obs);
   const bool same = identical(serial_obs, parallel_obs);
+  const dpp::WallTimer fit_timer;
+  const serve::FittedModels fitted = serve::fit_bundle(fixed_config(), serial_obs);
+  const double t_fit = fit_timer.seconds();
 
   const double n = static_cast<double>(serial_obs.size());
   const double speedup = t_parallel > 0.0 ? t_serial / t_parallel : 0.0;
@@ -93,15 +102,22 @@ int main() {
   std::printf("serial stages: scene %.3fs, render %.3fs (%zu host renders), composite %.3fs\n",
               stages.scene_seconds, stages.render_seconds, stages.host_renders,
               stages.composite_seconds);
+  std::printf("serial render by renderer: ray trace %.3fs (BVH build %.3fs), rasterize %.3fs, "
+              "volume %.3fs; fit %.3fs (%zu models)\n",
+              stages.rt_render_seconds, stages.bvh_build_seconds, stages.rast_render_seconds,
+              stages.vr_render_seconds, t_fit, fitted.entries.size());
 
   std::printf(
       "JSON {\"bench\":\"study_throughput\",\"observations\":%zu,\"threads\":%d,"
       "\"serial_seconds\":%.6f,\"parallel_seconds\":%.6f,\"speedup\":%.3f,"
       "\"obs_per_sec_serial\":%.3f,\"obs_per_sec_parallel\":%.3f,"
       "\"scene_seconds\":%.6f,\"render_seconds\":%.6f,\"composite_seconds\":%.6f,"
-      "\"host_renders\":%zu,\"identical\":%s}\n",
+      "\"host_renders\":%zu,\"identical\":%s,\"bvh_build_seconds\":%.6f,"
+      "\"rt_render_seconds\":%.6f,\"rast_render_seconds\":%.6f,\"vr_render_seconds\":%.6f,"
+      "\"fit_seconds\":%.6f}\n",
       serial_obs.size(), threads, t_serial, t_parallel, speedup, n / t_serial,
       n / t_parallel, stages.scene_seconds, stages.render_seconds, stages.composite_seconds,
-      stages.host_renders, same ? "true" : "false");
+      stages.host_renders, same ? "true" : "false", stages.bvh_build_seconds,
+      stages.rt_render_seconds, stages.rast_render_seconds, stages.vr_render_seconds, t_fit);
   return same ? 0 : 1;
 }

@@ -53,19 +53,19 @@ BunykRayCaster::BunykRayCaster(const mesh::TetMesh& mesh, dpp::Device& dev)
   }
 
   // Remaining open faces are the boundary; build the entry-search mesh.
+  mesh::TriMesh boundary;
   for (const auto& [key, tf] : open_faces) {
     const auto [t, f] = tf;
-    const int base = static_cast<int>(boundary_.points.size());
+    const int base = static_cast<int>(boundary.points.size());
     for (int i = 0; i < 3; ++i) {
       const int pid =
           mesh_.conn[static_cast<std::size_t>(t) * 4 + static_cast<std::size_t>(kFaceCorners[f][i])];
-      boundary_.points.push_back(mesh_.points[static_cast<std::size_t>(pid)]);
-      boundary_.scalars.push_back(0.0f);
+      boundary.points.push_back(mesh_.points[static_cast<std::size_t>(pid)]);
     }
-    boundary_.tris.insert(boundary_.tris.end(), {base, base + 1, base + 2});
+    boundary.tris.insert(boundary.tris.end(), {base, base + 1, base + 2});
     boundary_tet_.push_back(t);
   }
-  boundary_bvh_ = render::build_lbvh(dev_, boundary_);
+  boundary_bvh_ = render::build_lbvh(dev_, boundary);
   dev_.reset_timings();
   preprocess_seconds_ = timer.seconds();
 }
@@ -88,6 +88,7 @@ render::RenderStats BunykRayCaster::render(const Camera& camera, const TransferF
   const std::size_t n_pixels = static_cast<std::size_t>(camera.pixel_count());
   std::atomic<long long> total_cells{0};
   std::atomic<long long> active{0};
+  const Camera::RayBasis basis = camera.ray_basis();
 
   {
     dpp::ScopedPhase phase(dev_, "trace");
@@ -97,11 +98,10 @@ render::RenderStats BunykRayCaster::render(const Camera& camera, const TransferF
           const int px = static_cast<int>(p) % camera.width;
           const int py = static_cast<int>(p) / camera.width;
           const Vec3f dir =
-              camera.ray_direction(static_cast<float>(px), static_cast<float>(py));
+              camera.ray_direction(basis, static_cast<float>(px), static_cast<float>(py));
           long long steps = 0;
           const render::HitResult entry = render::intersect_closest(
-              boundary_bvh_, boundary_, camera.position, dir, camera.znear, camera.zfar,
-              steps);
+              boundary_bvh_, camera.position, dir, camera.znear, camera.zfar, steps);
           if (!entry.hit()) return;
 
           int tet = boundary_tet_[static_cast<std::size_t>(entry.prim)];

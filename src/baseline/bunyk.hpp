@@ -36,9 +36,8 @@ class BunykRayCaster {
   // neighbor_[4*t + f]: tet across face f of tet t (-1 = boundary). Face f
   // is opposite corner f.
   std::vector<int> neighbor_;
-  // Boundary faces as a triangle mesh + BVH for entry-point search;
-  // boundary_tet_[i] is the tet owning boundary triangle i.
-  mesh::TriMesh boundary_;
+  // BVH over the boundary faces for entry-point search (its leaves hold the
+  // triangles); boundary_tet_[i] is the tet owning boundary triangle i.
   std::vector<int> boundary_tet_;
   render::Bvh boundary_bvh_;
   double preprocess_seconds_ = 0.0;

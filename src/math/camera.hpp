@@ -27,17 +27,33 @@ struct Camera {
 
   Vec3f forward() const { return normalize(look_at - position); }
 
-  // Direction through pixel (px, py); sub-pixel offsets in [0,1) support the
-  // 4-ray anti-aliasing workload.
-  Vec3f ray_direction(float px, float py, float sub_x = 0.5f, float sub_y = 0.5f) const {
+  // The per-frame part of ray generation: the view basis and the screen
+  // extent at unit distance. Per-pixel callers compute it once per frame.
+  struct RayBasis {
+    Vec3f f, s, u;
+    float tan_half;
+    float aspect;
+  };
+
+  RayBasis ray_basis() const {
     const Vec3f f = forward();
     const Vec3f s = normalize(cross(f, up));
-    const Vec3f u = cross(s, f);
-    const float tan_half = std::tan(fov_y_degrees * 3.14159265358979f / 360.0f);
+    return {f, s, cross(s, f), std::tan(fov_y_degrees * 3.14159265358979f / 360.0f),
+            aspect()};
+  }
+
+  // Direction through pixel (px, py); sub-pixel offsets in [0,1) support the
+  // 4-ray anti-aliasing workload.
+  Vec3f ray_direction(const RayBasis& b, float px, float py, float sub_x = 0.5f,
+                      float sub_y = 0.5f) const {
     const float ndc_x =
-        (2.0f * (px + sub_x) / static_cast<float>(width) - 1.0f) * tan_half * aspect();
-    const float ndc_y = (1.0f - 2.0f * (py + sub_y) / static_cast<float>(height)) * tan_half;
-    return normalize(f + s * ndc_x + u * ndc_y);
+        (2.0f * (px + sub_x) / static_cast<float>(width) - 1.0f) * b.tan_half * b.aspect;
+    const float ndc_y = (1.0f - 2.0f * (py + sub_y) / static_cast<float>(height)) * b.tan_half;
+    return normalize(b.f + b.s * ndc_x + b.u * ndc_y);
+  }
+
+  Vec3f ray_direction(float px, float py, float sub_x = 0.5f, float sub_y = 0.5f) const {
+    return ray_direction(ray_basis(), px, py, sub_x, sub_y);
   }
 
   Mat4 view() const { return Mat4::look_at(position, look_at, up); }

@@ -53,4 +53,11 @@ float TransferFunction::correct_alpha(float alpha, float dt_ratio) {
   return 1.0f - std::pow(1.0f - alpha, dt_ratio);
 }
 
+std::array<float, TransferFunction::kLutSize> TransferFunction::corrected_alphas(
+    float dt_ratio) const {
+  std::array<float, kLutSize> out{};
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = correct_alpha(lut_[i].w, dt_ratio);
+  return out;
+}
+
 }  // namespace isr

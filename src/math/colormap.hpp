@@ -50,15 +50,21 @@ class TransferFunction {
 
   TransferFunction(const ColorTable& colors, float min_alpha, float max_alpha);
 
+  // LUT entry a scalar maps to, and that entry.
+  static int lut_index(float t) { return static_cast<int>(clamp01(t) * (kLutSize - 1)); }
+  const Vec4f& entry(int i) const { return lut_[static_cast<std::size_t>(i)]; }
+
   // Piecewise opacity ramp: alpha(t) = min + (max-min) * t.
-  Vec4f sample(float t) const {
-    int i = static_cast<int>(clamp01(t) * (kLutSize - 1));
-    return lut_[static_cast<std::size_t>(i)];
-  }
+  Vec4f sample(float t) const { return entry(lut_index(t)); }
 
   // Opacity correction: alpha for a sample of length `dt` relative to the
   // reference spacing the LUT was built for.
   static float correct_alpha(float alpha, float dt_ratio);
+
+  // correct_alpha(entry(i).w, dt_ratio) for every entry i: a renderer
+  // whose sample spacing is fixed for the whole frame builds this once
+  // instead of calling std::pow per sample.
+  std::array<float, kLutSize> corrected_alphas(float dt_ratio) const;
 
  private:
   std::array<Vec4f, kLutSize> lut_{};

@@ -239,6 +239,7 @@ std::vector<Observation> run_study(const StudyConfig& config, bool verbose,
       std::vector<comm::RankImage> images(tasks);
       // rank_samples[a * tasks + r]: rank r's sample on arch a.
       std::vector<RenderSample> rank_samples(profiles.size() * tasks);
+      std::vector<double> build_wall(tasks, 0.0);  // per rank: ranks may run concurrently
 
       const auto render_rank = [&](std::size_t r) {
         const RankData& rd = ranks[r];
@@ -260,7 +261,9 @@ std::vector<Observation> run_study(const StudyConfig& config, bool verbose,
         double build_seconds = 0.0;
 
         if (kind == RendererKind::kRayTrace) {
+          const dpp::WallTimer build;
           render::RayTracer rt(rd.surface, dev);
+          build_wall[r] = build.seconds();
           build_seconds = rt.bvh_build_stats().total_seconds();
           dev.set_tape(&render_tape);
           rstats = rt.render(camera, colors, img);
@@ -301,7 +304,15 @@ std::vector<Observation> run_study(const StudyConfig& config, bool verbose,
         core::parallel_for(pool, tasks, render_rank);
       else
         for (std::size_t r = 0; r < tasks; ++r) render_rank(r);
-      js.render_seconds += stage.seconds();
+      const double render_wall = stage.seconds();
+      js.render_seconds += render_wall;
+      if (kind == RendererKind::kRayTrace)
+        js.rt_render_seconds += render_wall;
+      else if (kind == RendererKind::kRasterize)
+        js.rast_render_seconds += render_wall;
+      else
+        js.vr_render_seconds += render_wall;
+      for (const double b : build_wall) js.bvh_build_seconds += b;
       js.host_renders += tasks;
 
       comm::Comm comm(job.tasks);
@@ -369,6 +380,10 @@ std::vector<Observation> run_study(const StudyConfig& config, bool verbose,
     for (const StudyStats& js : job_stats) {
       stats->scene_seconds += js.scene_seconds;
       stats->render_seconds += js.render_seconds;
+      stats->rt_render_seconds += js.rt_render_seconds;
+      stats->rast_render_seconds += js.rast_render_seconds;
+      stats->vr_render_seconds += js.vr_render_seconds;
+      stats->bvh_build_seconds += js.bvh_build_seconds;
       stats->composite_seconds += js.composite_seconds;
       stats->host_renders += js.host_renders;
     }

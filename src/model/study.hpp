@@ -62,6 +62,13 @@ struct Observation {
 struct StudyStats {
   double scene_seconds = 0;      // proxy sims stepped, rank data extracted
   double render_seconds = 0;     // first-arch renders plus the other archs' tape replays
+  // render_seconds split by renderer (the three add up to it).
+  double rt_render_seconds = 0;
+  double rast_render_seconds = 0;
+  double vr_render_seconds = 0;
+  // Ray-tracer BVH builds, part of rt_render_seconds; summed over ranks, so
+  // with a parallel rank fan-out it is thread time, not wall time.
+  double bvh_build_seconds = 0;
   double composite_seconds = 0;  // radix-k, once per (job, renderer)
   std::size_t host_renders = 0;  // renderer runs on the host: jobs x renderers x ranks
 };

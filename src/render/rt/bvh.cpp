@@ -70,6 +70,16 @@ Bvh build_lbvh(dpp::Device& dev, const mesh::TriMesh& mesh) {
   dpp::sort_pairs64(dev, keys, order);
   bvh.prim_order = std::move(order);
 
+  // Leaf-order triangles in intersection layout. A plain host loop, not a
+  // dpp kernel: the kernel tape (the build work the devices charge) stays
+  // what the hierarchy itself costs.
+  bvh.leaf_tris.reserve(n);
+  for (const int prim : bvh.prim_order) {
+    const std::size_t tri = static_cast<std::size_t>(prim);
+    const Vec3f a = mesh.vertex(tri, 0);
+    bvh.leaf_tris.push_back({a, mesh.vertex(tri, 1) - a, mesh.vertex(tri, 2) - a});
+  }
+
   if (n == 1) return bvh;
 
   // 4. Karras hierarchy emission: one internal node per split (map).
@@ -166,8 +176,8 @@ inline bool aabb_hit(const AABB& box, Vec3f orig, Vec3f inv_dir, float tmin, flo
 
 }  // namespace
 
-HitResult intersect_closest(const Bvh& bvh, const mesh::TriMesh& mesh, Vec3f orig,
-                            Vec3f dir, float tmin, float tmax, long long& steps) {
+HitResult intersect_closest(const Bvh& bvh, Vec3f orig, Vec3f dir, float tmin, float tmax,
+                            long long& steps) {
   HitResult best;
   best.t = tmax;
   if (bvh.empty()) return best;
@@ -175,15 +185,11 @@ HitResult intersect_closest(const Bvh& bvh, const mesh::TriMesh& mesh, Vec3f ori
   const Vec3f inv_dir = {1.0f / dir.x, 1.0f / dir.y, 1.0f / dir.z};
 
   auto test_leaf = [&](int leaf) {
-    const int prim = bvh.prim_order[static_cast<std::size_t>(leaf)];
+    const LeafTri& tri = bvh.leaf_tris[static_cast<std::size_t>(leaf)];
     float t, u, v;
     ++steps;
-    if (intersect_triangle(orig, dir,
-                           mesh.vertex(static_cast<std::size_t>(prim), 0),
-                           mesh.vertex(static_cast<std::size_t>(prim), 1),
-                           mesh.vertex(static_cast<std::size_t>(prim), 2), tmin, best.t, t,
-                           u, v)) {
-      best.prim = prim;
+    if (intersect_triangle_edges(orig, dir, tri.a, tri.ab, tri.ac, tmin, best.t, t, u, v)) {
+      best.prim = bvh.prim_order[static_cast<std::size_t>(leaf)];
       best.t = t;
       best.u = u;
       best.v = v;
@@ -220,19 +226,16 @@ HitResult intersect_closest(const Bvh& bvh, const mesh::TriMesh& mesh, Vec3f ori
   return best;
 }
 
-bool intersect_any(const Bvh& bvh, const mesh::TriMesh& mesh, Vec3f orig, Vec3f dir,
-                   float tmin, float tmax, long long& steps) {
+bool intersect_any(const Bvh& bvh, Vec3f orig, Vec3f dir, float tmin, float tmax,
+                   long long& steps) {
   if (bvh.empty()) return false;
   const Vec3f inv_dir = {1.0f / dir.x, 1.0f / dir.y, 1.0f / dir.z};
 
   auto test_leaf = [&](int leaf) {
-    const int prim = bvh.prim_order[static_cast<std::size_t>(leaf)];
+    const LeafTri& tri = bvh.leaf_tris[static_cast<std::size_t>(leaf)];
     float t, u, v;
     ++steps;
-    return intersect_triangle(orig, dir, mesh.vertex(static_cast<std::size_t>(prim), 0),
-                              mesh.vertex(static_cast<std::size_t>(prim), 1),
-                              mesh.vertex(static_cast<std::size_t>(prim), 2), tmin, tmax, t,
-                              u, v);
+    return intersect_triangle_edges(orig, dir, tri.a, tri.ab, tri.ac, tmin, tmax, t, u, v);
   };
 
   if (bvh.single_leaf()) return test_leaf(0);

@@ -22,9 +22,17 @@ struct BvhNode {
   int right = 0;
 };
 
+// A leaf's triangle in intersection layout: corner a and the edges b - a
+// and c - a (the ba/ca form), so a leaf test reads one contiguous record
+// instead of chasing prim_order -> tris -> points.
+struct LeafTri {
+  Vec3f a, ab, ac;
+};
+
 struct Bvh {
-  std::vector<BvhNode> nodes;   // n-1 internal nodes; root is node 0
-  std::vector<int> prim_order;  // leaf i references triangle prim_order[i]
+  std::vector<BvhNode> nodes;      // n-1 internal nodes; root is node 0
+  std::vector<int> prim_order;     // leaf i references triangle prim_order[i]
+  std::vector<LeafTri> leaf_tris;  // leaf i's triangle, in leaf order
   AABB scene_bounds;
 
   bool empty() const { return prim_order.empty(); }
@@ -35,12 +43,10 @@ struct Bvh {
 // current phase (renderers wrap this in a "bvh_build" scope).
 Bvh build_lbvh(dpp::Device& dev, const mesh::TriMesh& mesh);
 
-// Watertight-enough Moller-Trumbore; on hit fills t and barycentrics (u, v)
-// of corners 1 and 2.
-inline bool intersect_triangle(Vec3f orig, Vec3f dir, Vec3f a, Vec3f b, Vec3f c,
-                               float tmin, float tmax, float& t, float& u, float& v) {
-  const Vec3f e1 = b - a;
-  const Vec3f e2 = c - a;
+// Watertight-enough Moller-Trumbore on corner a and edges e1 = b - a,
+// e2 = c - a; on hit fills t and barycentrics (u, v) of corners 1 and 2.
+inline bool intersect_triangle_edges(Vec3f orig, Vec3f dir, Vec3f a, Vec3f e1, Vec3f e2,
+                                     float tmin, float tmax, float& t, float& u, float& v) {
   const Vec3f pvec = cross(dir, e2);
   const float det = dot(e1, pvec);
   if (std::abs(det) < 1e-12f) return false;
@@ -59,6 +65,12 @@ inline bool intersect_triangle(Vec3f orig, Vec3f dir, Vec3f a, Vec3f b, Vec3f c,
   return true;
 }
 
+// The same test on the triangle's corners.
+inline bool intersect_triangle(Vec3f orig, Vec3f dir, Vec3f a, Vec3f b, Vec3f c,
+                               float tmin, float tmax, float& t, float& u, float& v) {
+  return intersect_triangle_edges(orig, dir, a, b - a, c - a, tmin, tmax, t, u, v);
+}
+
 struct HitResult {
   int prim = -1;
   float t = 0.0f;
@@ -67,12 +79,13 @@ struct HitResult {
 };
 
 // Closest-hit traversal (if-if style with an explicit stack). `steps`
-// accumulates node visits + triangle tests for cost accounting.
-HitResult intersect_closest(const Bvh& bvh, const mesh::TriMesh& mesh, Vec3f orig,
-                            Vec3f dir, float tmin, float tmax, long long& steps);
+// accumulates node visits + triangle tests for cost accounting. Leaves are
+// tested from bvh.leaf_tris, so the mesh is not needed.
+HitResult intersect_closest(const Bvh& bvh, Vec3f orig, Vec3f dir, float tmin, float tmax,
+                            long long& steps);
 
 // Any-hit traversal (shadows, ambient occlusion).
-bool intersect_any(const Bvh& bvh, const mesh::TriMesh& mesh, Vec3f orig, Vec3f dir,
-                   float tmin, float tmax, long long& steps);
+bool intersect_any(const Bvh& bvh, Vec3f orig, Vec3f dir, float tmin, float tmax,
+                   long long& steps);
 
 }  // namespace isr::render

@@ -89,6 +89,7 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
         pixel_order.push_back(static_cast<int>(y) * camera.width + static_cast<int>(x));
     }
 
+    const Camera::RayBasis basis = camera.ray_basis();
     dpp::for_each(
         dev_, n_rays,
         [&](std::size_t r) {
@@ -98,8 +99,8 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
           const int px = pixel % camera.width;
           const int py = pixel / camera.width;
           const Vec2f off = aa ? kAaOffsets[sub] : Vec2f{0.5f, 0.5f};
-          dirs[r] = camera.ray_direction(static_cast<float>(px), static_cast<float>(py),
-                                         off.x, off.y);
+          dirs[r] = camera.ray_direction(basis, static_cast<float>(px),
+                                         static_cast<float>(py), off.x, off.y);
           ray_pixel[r] = pixel;
         },
         dpp::KernelCost{.flops_per_elem = 28, .bytes_per_elem = 20});
@@ -114,7 +115,7 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
         dev_, n_rays,
         [&](std::size_t r) {
           long long steps = 0;
-          hits[r] = intersect_closest(bvh_, mesh_, camera.position, dirs[r], camera.znear,
+          hits[r] = intersect_closest(bvh_, camera.position, dirs[r], camera.znear,
                                       camera.zfar, steps);
           total_steps.fetch_add(steps, std::memory_order_relaxed);
         },
@@ -244,7 +245,7 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
           long long steps = 0;
           const Vec3f origin = hit_points[k] + hit_normals[k] * (1e-4f * max_dist);
           occluded[s] =
-              intersect_any(bvh_, mesh_, origin, occ_dirs[s], 0.0f, max_dist, steps) ? 1 : 0;
+              intersect_any(bvh_, origin, occ_dirs[s], 0.0f, max_dist, steps) ? 1 : 0;
           occ_steps.fetch_add(steps, std::memory_order_relaxed);
         },
         [&] {
@@ -281,7 +282,7 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
           if (!hits[static_cast<std::size_t>(live[k])].hit()) return;
           long long steps = 0;
           const Vec3f origin = hit_points[k] + hit_normals[k] * 1e-4f;
-          if (intersect_any(bvh_, mesh_, origin, light_dir, 1e-4f, camera.zfar, steps))
+          if (intersect_any(bvh_, origin, light_dir, 1e-4f, camera.zfar, steps))
             shadow[k] = 0.35f;  // attenuated, not black: direct term only
           sh_steps.fetch_add(steps, std::memory_order_relaxed);
         },
@@ -329,7 +330,7 @@ RenderStats RayTracer::render(const Camera& camera, const ColorTable& colors, Im
           const Vec3f refl = in_dir - n * (2.0f * dot(in_dir, n));
           long long steps = 0;
           const Vec3f origin = hit_points[k] + n * 1e-4f;
-          HitResult h2 = intersect_closest(bvh_, mesh_, origin, refl, 1e-4f, camera.zfar, steps);
+          HitResult h2 = intersect_closest(bvh_, origin, refl, 1e-4f, camera.zfar, steps);
           rf_steps.fetch_add(steps, std::memory_order_relaxed);
           if (!h2.hit()) return;
           const std::size_t tri = static_cast<std::size_t>(h2.prim);

@@ -1,7 +1,8 @@
 #include "render/vr/volume.hpp"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
-#include <cmath>
 
 #include "dpp/primitives.hpp"
 
@@ -23,8 +24,15 @@ RenderStats StructuredVolumeRenderer::render(const Camera& camera,
 
   const AABB bounds = grid_.bounds();
   const float diag = length(bounds.extent());
-  const float dt = diag / static_cast<float>(std::max(options.samples, 1));
-  const Vec3f spacing = grid_.spacing();
+  // One clamped count drives both the step and the opacity correction
+  // against the 400-sample reference shared by all volume renderers (so
+  // images are comparable across them). The corrected alphas depend only
+  // on the LUT entry, so they are tabulated once per render.
+  const int n_samples = std::max(options.samples, 1);
+  const float dt = diag / static_cast<float>(n_samples);
+  const std::array<float, TransferFunction::kLutSize> alphas =
+      tf.corrected_alphas(400.0f / static_cast<float>(n_samples));
+  const Camera::RayBasis basis = camera.ray_basis();
   const std::size_t n_pixels = static_cast<std::size_t>(camera.pixel_count());
 
   std::atomic<long long> total_samples{0};
@@ -40,7 +48,7 @@ RenderStats StructuredVolumeRenderer::render(const Camera& camera,
           const int px = static_cast<int>(p) % camera.width;
           const int py = static_cast<int>(p) / camera.width;
           const Vec3f dir =
-              camera.ray_direction(static_cast<float>(px), static_cast<float>(py));
+              camera.ray_direction(basis, static_cast<float>(px), static_cast<float>(py));
           const Vec3f inv_dir = {1.0f / dir.x, 1.0f / dir.y, 1.0f / dir.z};
           float t0, t1;
           if (!bounds.intersect(camera.position, inv_dir, camera.znear, camera.zfar, t0, t1))
@@ -55,24 +63,23 @@ RenderStats StructuredVolumeRenderer::render(const Camera& camera,
           for (float t = t0 + 0.5f * dt; t < t1; t += dt) {
             const Vec3f pos = camera.position + dir * t;
             float value;
-            if (!grid_.sample(pos, value)) continue;
+            Vec3f cell;  // cell-space position: bounds.lo is the grid origin
+            if (!grid_.sample(pos, value, cell)) continue;
             ++samples;
-            const int cx = static_cast<int>((pos.x - bounds.lo.x) / spacing.x);
-            const int cy = static_cast<int>((pos.y - bounds.lo.y) / spacing.y);
-            const int cz = static_cast<int>((pos.z - bounds.lo.z) / spacing.z);
+            const int cx = static_cast<int>(cell.x);
+            const int cy = static_cast<int>(cell.y);
+            const int cz = static_cast<int>(cell.z);
             if (cx != last_cx || cy != last_cy || cz != last_cz) {
               ++cell_steps;
               last_cx = cx;
               last_cy = cy;
               last_cz = cz;
             }
-            Vec4f s = tf.sample(value);
-            // Opacity correction against the 400-sample reference shared by
-            // all volume renderers (so images are comparable across them),
-            // then front-to-back "over".
-            const float alpha = TransferFunction::correct_alpha(
-                                    s.w, 400.0f / static_cast<float>(options.samples)) *
-                                (1.0f - accum.w);
+            // Opacity-corrected LUT entry, then front-to-back "over".
+            const int entry = TransferFunction::lut_index(value);
+            const Vec4f& s = tf.entry(entry);
+            const float alpha =
+                alphas[static_cast<std::size_t>(entry)] * (1.0f - accum.w);
             accum.x += s.x * alpha;
             accum.y += s.y * alpha;
             accum.z += s.z * alpha;

@@ -56,7 +56,7 @@ TEST(TunedRayTracer, TraversalWorkIsComparableToLbvh) {
   long long lbvh_steps = 0;
   for (int y = 0; y < cam.height; ++y)
     for (int x = 0; x < cam.width; ++x)
-      render::intersect_closest(dpp_rt.bvh(), scene, cam.position,
+      render::intersect_closest(dpp_rt.bvh(), cam.position,
                                 cam.ray_direction(static_cast<float>(x), static_cast<float>(y)),
                                 cam.znear, cam.zfar, lbvh_steps);
   const double lbvh_avg = static_cast<double>(lbvh_steps) / cam.pixel_count();

@@ -3,6 +3,8 @@
 // force, any-hit consistent with closest-hit. Parameterized across scenes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <set>
 
@@ -101,7 +103,7 @@ TEST_P(BvhScenes, TraversalMatchesBruteForce) {
     const Vec3f dir = normalize(target - origin);
 
     long long steps = 0;
-    const HitResult fast = intersect_closest(bvh, scene, origin, dir, 0.0f, 1e30f, steps);
+    const HitResult fast = intersect_closest(bvh, origin, dir, 0.0f, 1e30f, steps);
 
     // Brute force reference.
     HitResult ref;
@@ -139,10 +141,71 @@ TEST_P(BvhScenes, AnyHitConsistentWithClosest) {
     const Vec3f dir =
         normalize(Vec3f{rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)});
     long long s1 = 0, s2 = 0;
-    const bool closest = intersect_closest(bvh, scene, origin, dir, 0.0f, 1e30f, s1).hit();
-    const bool any = intersect_any(bvh, scene, origin, dir, 0.0f, 1e30f, s2);
+    const bool closest = intersect_closest(bvh, origin, dir, 0.0f, 1e30f, s1).hit();
+    const bool any = intersect_any(bvh, origin, dir, 0.0f, 1e30f, s2);
     EXPECT_EQ(closest, any);
   }
+}
+
+TEST_P(BvhScenes, LeafArrayIntersectionMatchesVertexForm) {
+  // leaf_tris[i] is triangle prim_order[i] in {a, b-a, c-a} form: testing it
+  // must give the vertex form's hit, t, u and v bit for bit, and a traversal
+  // hit must be exactly the vertex-form hit of the prim it reports.
+  const mesh::TriMesh scene = scene_by_name(GetParam());
+  dpp::Device dev = dpp::Device::serial();
+  const Bvh bvh = build_lbvh(dev, scene);
+  ASSERT_EQ(bvh.leaf_tris.size(), scene.triangle_count());
+  const AABB bounds = scene.bounds();
+  const Vec3f center = bounds.center();
+  const float radius = length(bounds.extent());
+  const auto bits = [](float f) {
+    std::uint32_t b = 0;
+    std::memcpy(&b, &f, sizeof(b));
+    return b;
+  };
+
+  Rng rng(4242);
+  int leaf_hits = 0, traversal_hits = 0;
+  for (int i = 0; i < 60; ++i) {
+    const Vec3f origin =
+        center + normalize(Vec3f{rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)}) *
+                     radius * 1.5f;
+    const Vec3f target = center + Vec3f{rng.uniform(-0.3f, 0.3f), rng.uniform(-0.3f, 0.3f),
+                                        rng.uniform(-0.3f, 0.3f)} *
+                                      radius;
+    const Vec3f dir = normalize(target - origin);
+
+    for (std::size_t leaf = 0; leaf < bvh.leaf_tris.size(); ++leaf) {
+      const std::size_t prim = static_cast<std::size_t>(bvh.prim_order[leaf]);
+      const LeafTri& tri = bvh.leaf_tris[leaf];
+      float t1 = 0, u1 = 0, v1 = 0, t2 = 0, u2 = 0, v2 = 0;
+      const bool edge_hit =
+          intersect_triangle_edges(origin, dir, tri.a, tri.ab, tri.ac, 0.0f, 1e30f, t1, u1, v1);
+      const bool vertex_hit =
+          intersect_triangle(origin, dir, scene.vertex(prim, 0), scene.vertex(prim, 1),
+                             scene.vertex(prim, 2), 0.0f, 1e30f, t2, u2, v2);
+      ASSERT_EQ(edge_hit, vertex_hit) << "ray " << i << " leaf " << leaf;
+      if (!edge_hit) continue;
+      ++leaf_hits;
+      EXPECT_EQ(bits(t1), bits(t2));
+      EXPECT_EQ(bits(u1), bits(u2));
+      EXPECT_EQ(bits(v1), bits(v2));
+    }
+
+    long long steps = 0;
+    const HitResult h = intersect_closest(bvh, origin, dir, 0.0f, 1e30f, steps);
+    if (!h.hit()) continue;
+    ++traversal_hits;
+    const std::size_t prim = static_cast<std::size_t>(h.prim);
+    float t = 0, u = 0, v = 0;
+    ASSERT_TRUE(intersect_triangle(origin, dir, scene.vertex(prim, 0), scene.vertex(prim, 1),
+                                   scene.vertex(prim, 2), 0.0f, 1e30f, t, u, v));
+    EXPECT_EQ(bits(h.t), bits(t)) << "ray " << i;
+    EXPECT_EQ(bits(h.u), bits(u)) << "ray " << i;
+    EXPECT_EQ(bits(h.v), bits(v)) << "ray " << i;
+  }
+  EXPECT_GT(leaf_hits, 20) << "test should actually hit the scene";
+  EXPECT_GT(traversal_hits, 20);
 }
 
 TEST(Bvh, EmptyAndSingleTriangle) {
@@ -151,7 +214,7 @@ TEST(Bvh, EmptyAndSingleTriangle) {
   const Bvh none = build_lbvh(dev, empty);
   EXPECT_TRUE(none.empty());
   long long steps = 0;
-  EXPECT_FALSE(intersect_closest(none, empty, {0, 0, 0}, {0, 0, 1}, 0, 1e30f, steps).hit());
+  EXPECT_FALSE(intersect_closest(none, {0, 0, 0}, {0, 0, 1}, 0, 1e30f, steps).hit());
 
   mesh::TriMesh one;
   one.points = {{0, 0, 1}, {1, 0, 1}, {0, 1, 1}};
@@ -160,7 +223,7 @@ TEST(Bvh, EmptyAndSingleTriangle) {
   const Bvh single = build_lbvh(dev, one);
   EXPECT_TRUE(single.single_leaf());
   const HitResult hit =
-      intersect_closest(single, one, {0.2f, 0.2f, 0.0f}, {0, 0, 1}, 0.0f, 10.0f, steps);
+      intersect_closest(single, {0.2f, 0.2f, 0.0f}, {0, 0, 1}, 0.0f, 10.0f, steps);
   ASSERT_TRUE(hit.hit());
   EXPECT_NEAR(hit.t, 1.0f, 1e-5f);
 }
@@ -171,8 +234,8 @@ TEST(Bvh, MaxDistanceRespected) {
   const Bvh bvh = build_lbvh(dev, scene);
   long long steps = 0;
   // Sphere surface begins at z = 4; a tmax of 2 cannot reach it.
-  EXPECT_FALSE(intersect_any(bvh, scene, {0, 0, 0}, {0, 0, 1}, 0.0f, 2.0f, steps));
-  EXPECT_TRUE(intersect_any(bvh, scene, {0, 0, 0}, {0, 0, 1}, 0.0f, 10.0f, steps));
+  EXPECT_FALSE(intersect_any(bvh, {0, 0, 0}, {0, 0, 1}, 0.0f, 2.0f, steps));
+  EXPECT_TRUE(intersect_any(bvh, {0, 0, 0}, {0, 0, 1}, 0.0f, 10.0f, steps));
 }
 
 TEST(Bvh, TunedBvhVisitsFewerOrEqualNodes) {
@@ -184,7 +247,7 @@ TEST(Bvh, TunedBvhVisitsFewerOrEqualNodes) {
   dpp::Device dev = dpp::Device::serial();
   const Bvh bvh = build_lbvh(dev, scene);
   long long steps = 0;
-  intersect_closest(bvh, scene, {0, 0, 5}, {0, 0, -1}, 0.0f, 1e30f, steps);
+  intersect_closest(bvh, {0, 0, 5}, {0, 0, -1}, 0.0f, 1e30f, steps);
   EXPECT_LT(steps, static_cast<long long>(scene.triangle_count()));
   EXPECT_GT(steps, 0);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "math/aabb.hpp"
@@ -129,6 +130,43 @@ TEST(Camera, ScreenAndRayAgree) {
   const float t = dot(to_point, dir);
   const Vec3f closest = cam.position + dir * t;
   EXPECT_LT(length(closest - world), 0.05f);
+}
+
+TEST(Camera, RayBasisDirectionMatchesOneShotExpression) {
+  // ray_direction(basis, ...) must reproduce, bit for bit, the one-shot
+  // expression that recomputes the basis per ray (written out here), over
+  // every pixel and anti-aliasing offset of an odd-sized frame.
+  Camera cam;
+  cam.position = {2.3f, -1.1f, 7.9f};
+  cam.look_at = {0.2f, 0.4f, -0.3f};
+  cam.up = {0.1f, 1.0f, 0.2f};
+  cam.fov_y_degrees = 37.0f;
+  cam.width = 37;
+  cam.height = 23;
+  const auto reference = [&](float px, float py, float sub_x, float sub_y) {
+    const Vec3f f = cam.forward();
+    const Vec3f s = normalize(cross(f, cam.up));
+    const Vec3f u = cross(s, f);
+    const float tan_half = std::tan(cam.fov_y_degrees * 3.14159265358979f / 360.0f);
+    const float ndc_x =
+        (2.0f * (px + sub_x) / static_cast<float>(cam.width) - 1.0f) * tan_half * cam.aspect();
+    const float ndc_y =
+        (1.0f - 2.0f * (py + sub_y) / static_cast<float>(cam.height)) * tan_half;
+    return normalize(f + s * ndc_x + u * ndc_y);
+  };
+  const Camera::RayBasis basis = cam.ray_basis();
+  const float offsets[5][2] = {
+      {0.5f, 0.5f}, {0.25f, 0.25f}, {0.75f, 0.25f}, {0.25f, 0.75f}, {0.75f, 0.75f}};
+  for (int y = 0; y < cam.height; ++y)
+    for (int x = 0; x < cam.width; ++x)
+      for (const auto& off : offsets) {
+        const float px = static_cast<float>(x), py = static_cast<float>(y);
+        const Vec3f want = reference(px, py, off[0], off[1]);
+        const Vec3f got = cam.ray_direction(basis, px, py, off[0], off[1]);
+        const Vec3f one_shot = cam.ray_direction(px, py, off[0], off[1]);
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof(Vec3f)), 0) << x << "," << y;
+        ASSERT_EQ(std::memcmp(&one_shot, &want, sizeof(Vec3f)), 0) << x << "," << y;
+      }
 }
 
 TEST(Camera, FramingContainsBounds) {

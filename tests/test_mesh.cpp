@@ -2,9 +2,12 @@
 // marching-tetrahedra isosurfaces, procedural fields and scenes.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
+#include <vector>
 
+#include "math/rng.hpp"
 #include "mesh/external_faces.hpp"
 #include "mesh/fields.hpp"
 #include "mesh/isosurface.hpp"
@@ -44,6 +47,48 @@ TEST(StructuredGrid, TrilinearSamplingIsExactForLinearFields) {
   ASSERT_TRUE(g.sample({0.33f, 0.71f, 0.52f}, v));
   EXPECT_NEAR(v, 2 * 0.33f + 3 * 0.71f - 0.52f, 1e-5f);
   EXPECT_FALSE(g.sample({1.5f, 0.5f, 0.5f}, v));
+}
+
+TEST(StructuredGrid, CellCoordinatesMatchOffsetOverSpacing) {
+  // The sample overload's cell-space coordinates give the cell indices the
+  // volume renderer counts: (p - bounds.lo) / spacing, truncated, including
+  // points on the max faces (index n, unclamped). Its value is the plain
+  // sample's.
+  StructuredGrid g(7, 5, 9, {-0.7f, 0.3f, 1.1f}, {0.13f, 0.21f, 0.07f});
+  fields::fill_blobs(g, 4);
+  const AABB b = g.bounds();
+  const Vec3f sp = g.spacing();
+  std::vector<Vec3f> points;
+  Rng rng(17);
+  for (int i = 0; i < 500; ++i)
+    points.push_back({rng.uniform(b.lo.x, b.hi.x), rng.uniform(b.lo.y, b.hi.y),
+                      rng.uniform(b.lo.z, b.hi.z)});
+  points.push_back(b.lo);
+  points.push_back(b.hi);
+  points.push_back({b.hi.x, 0.5f * (b.lo.y + b.hi.y), b.lo.z});
+  points.push_back({b.lo.x, b.hi.y, 0.5f * (b.lo.z + b.hi.z)});
+  points.push_back({0.5f * (b.lo.x + b.hi.x), b.lo.y, b.hi.z});
+  for (int k = 0; k <= g.nz(); ++k)  // every lattice point, max faces included
+    for (int j = 0; j <= g.ny(); ++j)
+      for (int i = 0; i <= g.nx(); ++i) points.push_back(g.point(i, j, k));
+
+  int on_max_face = 0;
+  for (const Vec3f& p : points) {
+    float plain = 0, value = 0;
+    Vec3f cell;
+    const bool inside = g.sample(p, value, cell);
+    ASSERT_EQ(inside, g.sample(p, plain));
+    if (!inside) continue;
+    EXPECT_EQ(std::memcmp(&value, &plain, sizeof(float)), 0);
+    const int cx = static_cast<int>((p.x - b.lo.x) / sp.x);
+    const int cy = static_cast<int>((p.y - b.lo.y) / sp.y);
+    const int cz = static_cast<int>((p.z - b.lo.z) / sp.z);
+    EXPECT_EQ(static_cast<int>(cell.x), cx);
+    EXPECT_EQ(static_cast<int>(cell.y), cy);
+    EXPECT_EQ(static_cast<int>(cell.z), cz);
+    if (cx == g.nx() || cy == g.ny() || cz == g.nz()) ++on_max_face;
+  }
+  EXPECT_GT(on_max_face, 0);
 }
 
 TEST(StructuredGrid, NormalizeScalars) {

@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
+#include "core/thread_pool.hpp"
 #include "math/colormap.hpp"
 #include "mesh/fields.hpp"
+#include "mesh/isosurface.hpp"
 #include "mesh/scenes.hpp"
 #include "mesh/tetrahedralize.hpp"
 #include "render/rast/rasterizer.hpp"
@@ -263,6 +268,37 @@ TEST(VolumeRenderer, StatsMatchGeometry) {
   EXPECT_LE(stats.samples_per_ray, 200.0);
 }
 
+TEST(VolumeRenderer, NonPositiveSampleCountRendersLikeOneSample) {
+  // The step and the opacity correction both use the clamped count, so a
+  // count <= 0 is one sample across the diagonal, not an empty image.
+  VolumeFixture f;
+  dpp::Device dev = dpp::Device::serial();
+  StructuredVolumeRenderer vr(f.grid, dev);
+  const TransferFunction tf(f.colors, 0.05f, 0.3f);
+  Image one;
+  VolumeRenderOptions opt;
+  opt.samples = 1;
+  vr.render(f.cam, tf, one, opt);
+  ASSERT_GT(one.active_pixel_count(), 0u);
+  for (const int samples : {0, -5}) {
+    Image img;
+    opt.samples = samples;
+    vr.render(f.cam, tf, img, opt);
+    EXPECT_EQ(std::memcmp(img.pixels().data(), one.pixels().data(),
+                          one.pixels().size() * sizeof(Vec4f)),
+              0)
+        << "samples=" << samples;
+    EXPECT_EQ(std::memcmp(img.depths().data(), one.depths().data(),
+                          one.depths().size() * sizeof(float)),
+              0)
+        << "samples=" << samples;
+    for (const Vec4f& px : img.pixels()) {
+      ASSERT_GE(px.w, 0.0f) << "samples=" << samples;
+      ASSERT_LE(px.w, 1.0f) << "samples=" << samples;
+    }
+  }
+}
+
 // --- Unstructured volume renderer -----------------------------------------
 
 TEST(UnstructuredVR, MatchesStructuredRendererOnSameField) {
@@ -335,6 +371,152 @@ TEST(Image, PpmAndPngWritersProduceFiles) {
   EXPECT_EQ(magic[1], 'P');
   EXPECT_EQ(magic[2], 'N');
   fclose(f);
+}
+
+// --- Golden render digests ---------------------------------------------------
+
+// FNV-1a over every pixel's and depth's bits, the RenderStats model inputs
+// and the kernel tape (phase, element count and cost annotation of every
+// kernel: the counted work the simulated devices charge). A kernel speedup
+// must leave all of these bit-identical; the pinned values were taken
+// before the volume, camera and BVH kernels were last optimized.
+class RenderDigest {
+ public:
+  std::uint64_t value() const { return h_; }
+
+  void bytes(const void* p, std::size_t n) {
+    const unsigned char* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) h_ = (h_ ^ b[i]) * 0x100000001B3ull;
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
+  void f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    u64(bits);
+  }
+
+  void render(const Image& img, const RenderStats& s, const dpp::KernelTape& tape) {
+    u64(static_cast<std::uint64_t>(img.width()));
+    u64(static_cast<std::uint64_t>(img.height()));
+    bytes(img.pixels().data(), img.pixels().size() * sizeof(Vec4f));
+    bytes(img.depths().data(), img.depths().size() * sizeof(float));
+    for (const double v : {s.objects, s.active_pixels, s.visible_objects, s.pixels_per_tri,
+                           s.samples_per_ray, s.cells_spanned})
+      f64(v);
+    u64(tape.size());
+    for (const dpp::KernelRecord& k : tape) {
+      u64(k.phase.size());
+      bytes(k.phase.data(), k.phase.size());
+      u64(k.n);
+      f64(k.cost.flops_per_elem);
+      f64(k.cost.bytes_per_elem);
+      f64(k.cost.divergence);
+    }
+  }
+
+ private:
+  std::uint64_t h_ = 0xCBF29CE484222325ull;
+};
+
+// Two odd image sizes (non-square, so aspect and the pixel-index split are
+// exercised); host device at ISR_THREADS threads, so the digests also pin
+// thread-count independence.
+constexpr int kGoldenSizes[2][2] = {{97, 61}, {45, 83}};
+
+dpp::Device golden_device() { return dpp::Device::host(core::default_thread_count()); }
+
+struct GoldenScene {
+  GoldenScene() : grid(27, 22, 31, {-0.3f, 0.1f, 0.2f}, {0.041f, 0.05f, 0.035f}) {
+    mesh::fields::fill_blobs(grid, 6);
+    surface = mesh::isosurface(grid, 0.5f);
+  }
+  mesh::StructuredGrid grid;
+  mesh::TriMesh surface;
+  ColorTable colors = ColorTable::cool_warm();
+};
+
+std::uint64_t golden_vr_digest(const GoldenScene& scene, int w, int h) {
+  dpp::Device dev = golden_device();
+  StructuredVolumeRenderer vr(scene.grid, dev);
+  const TransferFunction tf(scene.colors, 0.05f, 0.3f);
+  dpp::KernelTape tape;
+  dev.set_tape(&tape);
+  Image img;
+  VolumeRenderOptions opt;
+  opt.samples = 173;
+  const RenderStats stats =
+      vr.render(Camera::framing(scene.grid.bounds(), w, h, 1.3f), tf, img, opt);
+  EXPECT_GT(stats.active_pixels, 0.1 * w * h);  // a digest of a blank image pins little
+  RenderDigest d;
+  d.render(img, stats, tape);
+  return d.value();
+}
+
+std::uint64_t golden_rt_digest(const GoldenScene& scene, int w, int h,
+                               RayTracerOptions::Workload workload) {
+  dpp::Device dev = golden_device();
+  dpp::KernelTape tape;
+  dev.set_tape(&tape);
+  RayTracer rt(scene.surface, dev);  // the BVH build is on the tape too
+  RayTracerOptions opt;
+  opt.workload = workload;
+  // The full workload also traces one reflection generation, so every
+  // closest-hit and any-hit caller is covered.
+  if (workload == RayTracerOptions::Workload::kFull) opt.max_specular_depth = 1;
+  Image img;
+  const RenderStats stats =
+      rt.render(Camera::framing(scene.surface.bounds(), w, h, 1.3f), scene.colors, img, opt);
+  EXPECT_GT(stats.active_pixels, 0.1 * w * h);  // a digest of a blank image pins little
+  RenderDigest d;
+  d.render(img, stats, tape);
+  return d.value();
+}
+
+std::uint64_t golden_rast_digest(const GoldenScene& scene, int w, int h) {
+  dpp::Device dev = golden_device();
+  dpp::KernelTape tape;
+  dev.set_tape(&tape);
+  Rasterizer rast(scene.surface, dev);
+  Image img;
+  const RenderStats stats =
+      rast.render(Camera::framing(scene.surface.bounds(), w, h, 1.3f), scene.colors, img);
+  EXPECT_GT(stats.active_pixels, 0.1 * w * h);  // a digest of a blank image pins little
+  RenderDigest d;
+  d.render(img, stats, tape);
+  return d.value();
+}
+
+TEST(RenderGolden, StructuredVolumeDigestsArePinned) {
+  const GoldenScene scene;
+  const std::uint64_t expected[2] = {0xE3EEBD70DDB36DB0ull, 0xEDC538E07A938801ull};
+  for (int i = 0; i < 2; ++i)
+    EXPECT_EQ(golden_vr_digest(scene, kGoldenSizes[i][0], kGoldenSizes[i][1]), expected[i]);
+}
+
+TEST(RenderGolden, RayTracerShadedDigestsArePinned) {
+  const GoldenScene scene;
+  ASSERT_GT(scene.surface.triangle_count(), 1000u);
+  const std::uint64_t expected[2] = {0x9D4AE1C617F5170Bull, 0x5607291D99743786ull};
+  for (int i = 0; i < 2; ++i)
+    EXPECT_EQ(golden_rt_digest(scene, kGoldenSizes[i][0], kGoldenSizes[i][1],
+                               RayTracerOptions::Workload::kShaded),
+              expected[i]);
+}
+
+TEST(RenderGolden, RayTracerFullDigestsArePinned) {
+  const GoldenScene scene;
+  const std::uint64_t expected[2] = {0x5232BC9B56188545ull, 0xF5529D87A6A45470ull};
+  for (int i = 0; i < 2; ++i)
+    EXPECT_EQ(golden_rt_digest(scene, kGoldenSizes[i][0], kGoldenSizes[i][1],
+                               RayTracerOptions::Workload::kFull),
+              expected[i]);
+}
+
+TEST(RenderGolden, RasterizerDigestsArePinned) {
+  const GoldenScene scene;
+  const std::uint64_t expected[2] = {0x5EADFB489A606D03ull, 0xDF133E43B39D18DFull};
+  for (int i = 0; i < 2; ++i)
+    EXPECT_EQ(golden_rast_digest(scene, kGoldenSizes[i][0], kGoldenSizes[i][1]), expected[i]);
 }
 
 }  // namespace
